@@ -247,24 +247,11 @@ fn exec(
             let table = handle.read();
             let key = key.bind(params)?.eval(&Tuple::empty())?;
             let residual = residual.as_ref().map(|p| p.bind(params)).transpose()?;
-            let rows: Vec<Tuple> = if table.has_index_on(*column) {
-                table
-                    .index_lookup(*column, &key, snapshot)
-                    .into_iter()
-                    .map(|(_, r)| r.clone())
-                    .collect()
-            } else if table.primary_key() == [*column] {
-                table
-                    .lookup_pk(std::slice::from_ref(&key), snapshot)
-                    .map(|(_, r)| vec![r.clone()])
-                    .unwrap_or_default()
-            } else {
-                table
-                    .scan(snapshot)
-                    .filter(|(_, r)| r[*column].sql_eq(&key))
-                    .map(|(_, r)| r.clone())
-                    .collect()
-            };
+            let rows: Vec<Tuple> = table
+                .lookup_eq(*column, &key, snapshot)
+                .into_iter()
+                .map(|(_, r)| r.clone())
+                .collect();
             Ok(filter_rows(rows, &residual)?)
         }
         QueryPlan::IndexRange {
@@ -292,19 +279,11 @@ fn exec(
             let low = eval_bound(low)?;
             let high = eval_bound(high)?;
             let residual = residual.as_ref().map(|p| p.bind(params)).transpose()?;
-            let rows: Vec<Tuple> = if table.has_index_on(*column) {
-                table
-                    .index_range(*column, as_ref_bound(&low), as_ref_bound(&high), snapshot)
-                    .into_iter()
-                    .map(|(_, r)| r.clone())
-                    .collect()
-            } else {
-                table
-                    .scan(snapshot)
-                    .filter(|(_, r)| bound_contains(&low, &high, &r[*column]))
-                    .map(|(_, r)| r.clone())
-                    .collect()
-            };
+            let rows: Vec<Tuple> = table
+                .lookup_range(*column, low.as_ref(), high.as_ref(), snapshot)
+                .into_iter()
+                .map(|(_, r)| r.clone())
+                .collect();
             Ok(filter_rows(rows, &residual)?)
         }
         QueryPlan::Filter { input, predicate } => {
@@ -362,24 +341,11 @@ fn exec(
                 if key.is_null() {
                     continue;
                 }
-                let matches: Vec<Tuple> = if inner.has_index_on(*inner_column) {
-                    inner
-                        .index_lookup(*inner_column, key, snapshot)
-                        .into_iter()
-                        .map(|(_, r)| r.clone())
-                        .collect()
-                } else if inner.primary_key() == [*inner_column] {
-                    inner
-                        .lookup_pk(std::slice::from_ref(key), snapshot)
-                        .map(|(_, r)| vec![r.clone()])
-                        .unwrap_or_default()
-                } else {
-                    inner
-                        .scan(snapshot)
-                        .filter(|(_, r)| r[*inner_column].sql_eq(key))
-                        .map(|(_, r)| r.clone())
-                        .collect()
-                };
+                let matches: Vec<Tuple> = inner
+                    .lookup_eq(*inner_column, key, snapshot)
+                    .into_iter()
+                    .map(|(_, r)| r.clone())
+                    .collect();
                 for inner_row in matches {
                     out.push(outer_row.concat(&inner_row));
                 }
@@ -464,28 +430,6 @@ fn filter_rows(rows: Vec<Tuple>, residual: &Option<Expr>) -> Result<Vec<Tuple>> 
             })
             .collect(),
     }
-}
-
-fn as_ref_bound(b: &Bound<Value>) -> Bound<&Value> {
-    match b {
-        Bound::Included(v) => Bound::Included(v),
-        Bound::Excluded(v) => Bound::Excluded(v),
-        Bound::Unbounded => Bound::Unbounded,
-    }
-}
-
-fn bound_contains(low: &Bound<Value>, high: &Bound<Value>, v: &Value) -> bool {
-    let low_ok = match low {
-        Bound::Unbounded => true,
-        Bound::Included(l) => v >= l,
-        Bound::Excluded(l) => v > l,
-    };
-    let high_ok = match high {
-        Bound::Unbounded => true,
-        Bound::Included(h) => v <= h,
-        Bound::Excluded(h) => v < h,
-    };
-    low_ok && high_ok
 }
 
 /// Binding of a missing parameter in an INSERT template: the baseline engine

@@ -35,7 +35,8 @@
 //! * `USERS(U_ID pk, U_NAME, U_COUNTRY, U_ACCOUNT)` — 20 rows; `user{i}`,
 //!   country cycles `CH, DE, IT`, account `i * 10`.
 //! * `ORDERS(O_ID pk, O_U_ID, O_STATUS, O_TOTAL)` — 60 rows; user `o % 20`,
-//!   status `OK` when `o % 4 == 0` else `PENDING`, total `(o % 7) as f64`.
+//!   status `OK` when `o % 4 == 0` else `PENDING`, total `(o % 7) as f64`;
+//!   secondary index `ORDERS_USER` on `O_U_ID`.
 //! * `ITEMS(IT_ID pk, IT_SUBJECT, IT_COST)` — 15 rows; subject cycles
 //!   `ARTS, SCIENCE, HISTORY`, cost `(t % 5) as f64`.
 //! * `TRI_R(A, B)`, `TRI_S(A, C)`, `TRI_T(B, C)` — the triangle-query
@@ -45,7 +46,7 @@
 use shareddb_common::{DataType, Value};
 use shareddb_core::{render_explain_text, Engine, EngineConfig};
 use shareddb_sql::SqlCompiler;
-use shareddb_storage::{Catalog, TableDef};
+use shareddb_storage::{Catalog, IndexDef, TableDef};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -116,6 +117,13 @@ pub fn corpus_catalog() -> Arc<Catalog> {
                 .primary_key(&["O_ID"]),
         )
         .expect("create ORDERS");
+    catalog
+        .create_index(IndexDef {
+            name: "ORDERS_USER".into(),
+            table: "ORDERS".into(),
+            column: "O_U_ID".into(),
+        })
+        .expect("create ORDERS_USER");
     catalog
         .create_table(
             TableDef::new("ITEMS")

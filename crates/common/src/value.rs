@@ -5,6 +5,7 @@
 //! never reference external buffers.
 
 use crate::error::{Error, Result};
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -166,6 +167,18 @@ impl Value {
     /// equals anything, including NULL).
     pub fn sql_eq(&self, other: &Value) -> bool {
         self.sql_cmp(other) == Some(Ordering::Equal)
+    }
+
+    /// This value as a key of the total order (`Ord`, `Hash`) under which
+    /// values equal by SQL `=` ([`Value::sql_eq`]) are equal too, and
+    /// comparable values order as [`Value::sql_cmp`] orders them: dates fold
+    /// into the integers they count. Only NULL differs — it equals itself
+    /// here but nothing under `=`. Indexes store and probe these keys.
+    pub fn sql_key(&self) -> Cow<'_, Value> {
+        match self {
+            Value::Date(d) => Cow::Owned(Value::Int(*d)),
+            other => Cow::Borrowed(other),
+        }
     }
 
     /// Stable rank used to order values of different types in the total order.

@@ -260,24 +260,11 @@ fn execute_index_nl_join(
         if key.is_null() {
             continue;
         }
-        let matches: Vec<Tuple> = if inner.has_index_on(inner_column) {
-            inner
-                .index_lookup(inner_column, key, ctx.snapshot)
-                .into_iter()
-                .map(|(_, row)| row.clone())
-                .collect()
-        } else if inner.primary_key() == [inner_column] {
-            inner
-                .lookup_pk(std::slice::from_ref(key), ctx.snapshot)
-                .map(|(_, row)| vec![row.clone()])
-                .unwrap_or_default()
-        } else {
-            inner
-                .scan(ctx.snapshot)
-                .filter(|(_, row)| row[inner_column].sql_eq(key))
-                .map(|(_, row)| row.clone())
-                .collect()
-        };
+        let matches: Vec<Tuple> = inner
+            .lookup_eq(inner_column, key, ctx.snapshot)
+            .into_iter()
+            .map(|(_, row)| row.clone())
+            .collect();
         for inner_row in matches {
             out.push(QTuple::new(
                 restricted.tuple.concat(&inner_row),
@@ -304,37 +291,59 @@ fn execute_sort(
     Ok(tuples)
 }
 
+/// Shared Top-N: the result of sorting every interesting tuple once and then
+/// keeping, per query, its first `limit` rows — computed without sorting
+/// every row. Each query selects its first `limit` rows in (sort keys,
+/// input position) order, the order a stable sort produces, and only the
+/// union of the selections is sorted and emitted.
 fn execute_top_n(
     activations: &[(QueryId, Activation)],
-    input: Vec<QTuple>,
+    mut input: Vec<QTuple>,
     keys: &[SortKey],
 ) -> Result<Vec<QTuple>> {
-    // Phase 1 (shared): sort everything once.
-    let sorted = execute_sort(activations, input, keys)?;
-    // Phase 2 (per query): keep the first `limit` rows of each query.
-    let mut limits: HashMap<QueryId, usize> = HashMap::new();
-    for (q, a) in activations {
-        if let Activation::TopN { limit } = a {
-            limits.insert(*q, *limit);
+    let active = active_set(activations);
+    let limits: HashMap<QueryId, usize> = activations
+        .iter()
+        .filter_map(|(q, a)| match a {
+            Activation::TopN { limit } => Some((*q, *limit)),
+            _ => None,
+        })
+        .collect();
+    let mut rows_of: HashMap<QueryId, Vec<usize>> = HashMap::new();
+    for (position, tuple) in input.iter().enumerate() {
+        for q in tuple.queries.iter().filter(|q| active.contains(*q)) {
+            rows_of.entry(q).or_default().push(position);
         }
     }
-    let mut taken: HashMap<QueryId, usize> = HashMap::new();
-    let mut out = Vec::new();
-    for tuple in sorted {
-        let mut keep = QuerySet::new();
-        for q in tuple.queries.iter() {
-            let limit = limits.get(&q).copied().unwrap_or(usize::MAX);
-            let count = taken.entry(q).or_insert(0);
-            if *count < limit {
-                *count += 1;
-                keep.insert(q);
+    let order = |a: &usize, b: &usize| {
+        compare_tuples(&input[*a].tuple, &input[*b].tuple, keys).then(a.cmp(b))
+    };
+    // Phase 1 (per query): select the query's first `limit` rows.
+    let mut selected: HashMap<usize, QuerySet> = HashMap::new();
+    for (q, mut rows) in rows_of {
+        let limit = limits.get(&q).copied().unwrap_or(usize::MAX);
+        if rows.len() > limit {
+            if limit > 0 {
+                rows.select_nth_unstable_by(limit - 1, order);
             }
+            rows.truncate(limit);
         }
-        if !keep.is_empty() {
-            out.push(QTuple::new(tuple.tuple, keep));
+        for position in rows {
+            selected.entry(position).or_default().insert(q);
         }
     }
-    Ok(out)
+    // Phase 2 (shared): one sort over the union of the selections.
+    let mut selected: Vec<(usize, QuerySet)> = selected.into_iter().collect();
+    selected.sort_by(|(a, _), (b, _)| order(a, b));
+    Ok(selected
+        .into_iter()
+        .map(|(position, queries)| {
+            QTuple::new(
+                std::mem::replace(&mut input[position].tuple, Tuple::empty()),
+                queries,
+            )
+        })
+        .collect())
 }
 
 // ---------------------------------------------------------------------------
@@ -802,6 +811,54 @@ mod tests {
             .collect();
         assert_eq!(q1, vec![19, 18, 17]);
         assert_eq!(q2, vec![18, 16, 14, 12, 10]);
+    }
+
+    /// Top-N equals sorting every interesting row once (stably) and keeping
+    /// each query's first `limit` rows, ties at the cut included, for
+    /// different limits per query and a participating query without one.
+    #[test]
+    fn top_n_equals_stable_sort_then_per_query_limit() {
+        let catalog = Catalog::new();
+        let keys = vec![SortKey::desc(1)];
+        // Few distinct sort values: many ties, broken by input position.
+        let input: Vec<QTuple> = (0..60i64)
+            .map(|i| {
+                let subscribers: Vec<u32> =
+                    (1..=4u32).filter(|q| (i + *q as i64) % 3 != 0).collect();
+                qt(tuple![i, (i * 7) % 5], &subscribers)
+            })
+            .collect();
+        let activations = vec![
+            (QueryId(1), Activation::TopN { limit: 0 }),
+            (QueryId(2), Activation::TopN { limit: 4 }),
+            (QueryId(3), Activation::TopN { limit: 100 }),
+            (QueryId(4), Activation::Participate),
+        ];
+        let out = execute_operator(
+            &OperatorSpec::TopN { keys: keys.clone() },
+            &activations,
+            vec![input.clone()],
+            &ctx(&catalog),
+        )
+        .unwrap();
+        let mut sorted: Vec<&QTuple> = input.iter().collect();
+        sorted.sort_by(|a, b| compare_tuples(&a.tuple, &b.tuple, &keys));
+        for (q, limit) in [(1u32, 0usize), (2, 4), (3, 100), (4, usize::MAX)] {
+            let want: Vec<i64> = sorted
+                .iter()
+                .filter(|t| t.queries.contains(QueryId(q)))
+                .take(limit)
+                .map(|t| t.tuple[0].as_int().unwrap())
+                .collect();
+            let got: Vec<i64> = out
+                .iter()
+                .filter(|t| t.queries.contains(QueryId(q)))
+                .map(|t| t.tuple[0].as_int().unwrap())
+                .collect();
+            assert_eq!(got, want, "query {q}");
+        }
+        // Rows no query keeps are not emitted.
+        assert!(out.iter().all(|t| !t.queries.is_empty()));
     }
 
     #[test]

@@ -8,6 +8,7 @@
 //!
 //! * one shared **scan** per base table (per occurrence, so self-joins get
 //!   distinct nodes) activated with each statement's pushed-down predicate,
+//!   unless an access-path rule below picks an index,
 //! * one shared **hash join** per `(inputs, join columns)` pair — statements
 //!   joining the same tables on the same keys reuse the same operator,
 //! * general join **graphs**: the equi-join edges are clustered into a
@@ -20,6 +21,25 @@
 //!   outputs; aggregates not in the SELECT list are computed as hidden
 //!   columns of the shared group-by.
 //!
+//! Access paths (the paper's B-tree indexes and shared index probe, Section
+//! 4.4) follow three rules:
+//!
+//! * **Probe.** A single-table SELECT whose pushed-down predicate has a
+//!   top-level conjunct `col = ?` or `col = literal`, where `col` is the
+//!   table's single-column primary key (preferred) or has a secondary index,
+//!   reads through a shared **index probe** (one per base table and
+//!   occurrence, like scans). The conjunct is the probe key; the remaining
+//!   conjuncts are the probe's residual. Joins keep their scans: the fanout
+//!   walker only partitions scan sources, so a probe statement stays pinned.
+//! * **Top-N.** `ORDER BY` with `LIMIT` and no `DISTINCT` compiles to a
+//!   shared **Top-N** per (input, sort keys), which every statement
+//!   activates with its own limit. `DISTINCT … LIMIT` keeps the sort, since
+//!   its limit counts deduplicated projected rows.
+//! * **Writes.** UPDATE and DELETE compile to their bound predicate; the
+//!   storage layer finds the rows of a `pk = literal` or
+//!   `indexed column = literal` conjunct through the index
+//!   (`shareddb_storage::Table::lookup_eq`).
+//!
 //! The module also provides [`canonicalize`] / [`SqlTemplate`]: token-level
 //! auto-parameterisation that rewrites literals to `?` so that an ad-hoc SQL
 //! string can be matched against the registered statement *types* of the
@@ -31,13 +51,14 @@ use crate::logical::LogicalPlan;
 use crate::parser::parse;
 use crate::token::{tokenize, Token};
 use shareddb_common::agg::AggregateFunction;
-use shareddb_common::{Column, DataType, Error, Expr, Result, Schema, SortKey, Value};
+use shareddb_common::{BinaryOp, Column, DataType, Error, Expr, Result, Schema, SortKey, Value};
 use shareddb_core::plan::{
-    ActivationTemplate, ComputedColumn, GlobalPlan, OperatorId, PlanBuilder, StatementRegistry,
-    StatementSpec, UpdateTemplate,
+    ActivationTemplate, ComputedColumn, GlobalPlan, OperatorId, PlanBuilder, ProbeTemplate,
+    StatementRegistry, StatementSpec, UpdateTemplate,
 };
 use shareddb_storage::Catalog;
 use std::collections::HashMap;
+use std::hash::Hash;
 
 /// One connected piece of a statement's join graph during compilation.
 struct Cluster {
@@ -60,6 +81,8 @@ pub struct SqlCompiler<'a> {
     builder: PlanBuilder<'a>,
     /// (base table, occurrence within one statement) → shared scan node.
     scans: HashMap<(String, usize), OperatorId>,
+    /// (base table, occurrence within one statement) → shared index probe.
+    probes: HashMap<(String, usize), OperatorId>,
     /// (build node, probe node, build column, probe column) → shared join.
     joins: HashMap<(OperatorId, OperatorId, usize, usize), OperatorId>,
     /// (build node, probe node) → shared nested-loop join (cross product).
@@ -70,6 +93,8 @@ pub struct SqlCompiler<'a> {
     group_bys: HashMap<(OperatorId, String), OperatorId>,
     /// (input node, key shape) → shared sort node.
     sorts: HashMap<(OperatorId, String), OperatorId>,
+    /// (input node, key shape) → shared Top-N node.
+    top_ns: HashMap<(OperatorId, String), OperatorId>,
     /// input node → shared distinct node.
     distincts: HashMap<OperatorId, OperatorId>,
     registry: StatementRegistry,
@@ -82,11 +107,13 @@ impl<'a> SqlCompiler<'a> {
             catalog,
             builder: PlanBuilder::new(catalog),
             scans: HashMap::new(),
+            probes: HashMap::new(),
             joins: HashMap::new(),
             cross_joins: HashMap::new(),
             filters: HashMap::new(),
             group_bys: HashMap::new(),
             sorts: HashMap::new(),
+            top_ns: HashMap::new(),
             distincts: HashMap::new(),
             registry: StatementRegistry::new(),
         }
@@ -129,27 +156,34 @@ impl<'a> SqlCompiler<'a> {
         let lp = LogicalPlan::from_select(select)?;
         let mut activations: Vec<(OperatorId, ActivationTemplate)> = Vec::new();
 
-        // Shared scans: one cluster per table alias, reusing one shared scan
-        // node per (base table, occurrence).
+        // Shared scans (or, for a single-table statement with an indexed
+        // equality, shared index probes): one cluster per table alias,
+        // reusing one shared node per (base table, occurrence).
         let mut clusters: Vec<Cluster> = Vec::new();
         let mut occurrence: HashMap<&str, usize> = HashMap::new();
         for (alias, base) in &lp.tables {
             let occ = occurrence.entry(base.as_str()).or_insert(0);
             let key = (base.clone(), *occ);
             *occ += 1;
-            let node = match self.scans.get(&key) {
-                Some(&node) => node,
-                None => {
-                    let node = self.builder.table_scan(base)?;
-                    self.scans.insert(key, node);
-                    node
-                }
-            };
             let base_schema = self.table_schema(base)?;
             let predicate = lp
                 .table_predicate(alias)
                 .resolve(&base_schema.qualified(alias))?;
-            activations.push((node, ActivationTemplate::Scan { predicate }));
+            let probe = match lp.tables.len() {
+                1 => self.probe_activation(base, &predicate)?,
+                _ => None,
+            };
+            let (node, template) = match probe {
+                Some(template) => (
+                    shared(&mut self.probes, key, || self.builder.index_probe(base))?,
+                    template,
+                ),
+                None => (
+                    shared(&mut self.scans, key, || self.builder.table_scan(base))?,
+                    ActivationTemplate::Scan { predicate },
+                ),
+            };
+            activations.push((node, template));
             clusters.push(Cluster {
                 node,
                 res: base_schema.qualified(alias),
@@ -213,21 +247,12 @@ impl<'a> SqlCompiler<'a> {
             let b_idx = clusters[bi].res.resolve(Some(b_alias), b_col)?;
             let p_idx = clusters[pi].res.resolve(Some(p_alias), p_col)?;
             let key = (clusters[bi].node, clusters[pi].node, b_idx, p_idx);
-            let join_node = match self.joins.get(&key) {
-                Some(&node) => node,
-                None => {
-                    let b_path = clusters[bi].plan.column(b_idx).qualified_name();
-                    let p_path = clusters[pi].plan.column(p_idx).qualified_name();
-                    let node = self.builder.hash_join(
-                        clusters[bi].node,
-                        clusters[pi].node,
-                        &b_path,
-                        &p_path,
-                    )?;
-                    self.joins.insert(key, node);
-                    node
-                }
-            };
+            let b_path = clusters[bi].plan.column(b_idx).qualified_name();
+            let p_path = clusters[pi].plan.column(p_idx).qualified_name();
+            let (b_node, p_node) = (clusters[bi].node, clusters[pi].node);
+            let join_node = shared(&mut self.joins, key, || {
+                self.builder.hash_join(b_node, p_node, &b_path, &p_path)
+            })?;
             // Merge the probe cluster into the build cluster.
             let probe = clusters.remove(pi);
             let bi = if pi < bi { bi - 1 } else { bi };
@@ -249,15 +274,10 @@ impl<'a> SqlCompiler<'a> {
             clusters.sort_by_key(|c| c.node);
             let probe = clusters.remove(1);
             let build = &mut clusters[0];
-            let key = (build.node, probe.node);
-            let join_node = match self.cross_joins.get(&key) {
-                Some(&node) => node,
-                None => {
-                    let node = self.builder.nested_loop_join(build.node, probe.node)?;
-                    self.cross_joins.insert(key, node);
-                    node
-                }
-            };
+            let (b_node, p_node) = (build.node, probe.node);
+            let join_node = shared(&mut self.cross_joins, (b_node, p_node), || {
+                self.builder.nested_loop_join(b_node, p_node)
+            })?;
             build.res = build.res.join(&probe.res);
             build.plan = build.plan.join(&probe.plan);
             build.aliases.extend(probe.aliases);
@@ -277,14 +297,7 @@ impl<'a> SqlCompiler<'a> {
         // cycle-closing join edges, → shared filter over the join output.
         let residuals: Vec<Expr> = lp.residual.iter().cloned().chain(residual_edges).collect();
         if !residuals.is_empty() {
-            let node = match self.filters.get(&root) {
-                Some(&node) => node,
-                None => {
-                    let node = self.builder.filter(root)?;
-                    self.filters.insert(root, node);
-                    node
-                }
-            };
+            let node = shared(&mut self.filters, root, || self.builder.filter(root))?;
             let predicate = Expr::conjunction(residuals).resolve(&res_schema)?;
             activations.push((node, ActivationTemplate::Filter { predicate }));
             root = node;
@@ -337,38 +350,31 @@ impl<'a> SqlCompiler<'a> {
                 agg_ref_cols.push(group_width + idx);
             }
             let shape = format!("{group_cols:?}/{aggs:?}");
-            let key = (root, shape);
-            let node = match self.group_bys.get(&key) {
-                Some(&node) => node,
-                None => {
-                    let group_paths: Vec<String> = group_cols
-                        .iter()
-                        .map(|&c| plan_schema.column(c).qualified_name())
-                        .collect();
-                    let agg_names: Vec<String> = aggs
-                        .iter()
-                        .enumerate()
-                        .map(|(i, (f, c))| {
-                            format!("{f:?}{}_{}", i, plan_schema.column(*c).name)
-                                .to_ascii_uppercase()
-                        })
-                        .collect();
-                    let agg_paths: Vec<String> = aggs
-                        .iter()
-                        .map(|(_, c)| plan_schema.column(*c).qualified_name())
-                        .collect();
-                    let node = self.builder.group_by(
-                        root,
-                        group_paths.iter().map(String::as_str).collect(),
-                        aggs.iter()
-                            .zip(agg_paths.iter().zip(agg_names.iter()))
-                            .map(|((f, _), (path, name))| (*f, path.as_str(), name.as_str()))
-                            .collect(),
-                    )?;
-                    self.group_bys.insert(key, node);
-                    node
-                }
-            };
+            let node = shared(&mut self.group_bys, (root, shape), || {
+                let group_paths: Vec<String> = group_cols
+                    .iter()
+                    .map(|&c| plan_schema.column(c).qualified_name())
+                    .collect();
+                let agg_names: Vec<String> = aggs
+                    .iter()
+                    .enumerate()
+                    .map(|(i, (f, c))| {
+                        format!("{f:?}{}_{}", i, plan_schema.column(*c).name).to_ascii_uppercase()
+                    })
+                    .collect();
+                let agg_paths: Vec<String> = aggs
+                    .iter()
+                    .map(|(_, c)| plan_schema.column(*c).qualified_name())
+                    .collect();
+                self.builder.group_by(
+                    root,
+                    group_paths.iter().map(String::as_str).collect(),
+                    aggs.iter()
+                        .zip(agg_paths.iter().zip(agg_names.iter()))
+                        .map(|((f, _), (path, name))| (*f, path.as_str(), name.as_str()))
+                        .collect(),
+                )
+            })?;
             // Mirror the builder's output schema in the alias-qualified
             // resolution world; everything downstream of the group-by
             // (HAVING, DISTINCT, ORDER BY, projection) resolves against it.
@@ -397,19 +403,13 @@ impl<'a> SqlCompiler<'a> {
 
         // DISTINCT → shared duplicate elimination.
         if lp.distinct {
-            let node = match self.distincts.get(&root) {
-                Some(&node) => node,
-                None => {
-                    let node = self.builder.distinct(root)?;
-                    self.distincts.insert(root, node);
-                    node
-                }
-            };
+            let node = shared(&mut self.distincts, root, || self.builder.distinct(root))?;
             activations.push((node, ActivationTemplate::Participate));
             root = node;
         }
 
-        // ORDER BY → shared sort.
+        // ORDER BY → shared Top-N when a LIMIT bounds it (and no DISTINCT
+        // stands between), else a shared sort.
         if !lp.order_by.is_empty() {
             let mut keys = Vec::new();
             for (expr, descending) in &lp.order_by {
@@ -421,16 +421,18 @@ impl<'a> SqlCompiler<'a> {
                     SortKey::asc(col)
                 });
             }
-            let key = (root, format!("{keys:?}"));
-            let node = match self.sorts.get(&key) {
-                Some(&node) => node,
-                None => {
-                    let node = self.builder.sort(root, keys)?;
-                    self.sorts.insert(key, node);
-                    node
-                }
+            let shape = (root, format!("{keys:?}"));
+            let (node, template) = match lp.limit.filter(|_| !lp.distinct) {
+                Some(limit) => (
+                    shared(&mut self.top_ns, shape, || self.builder.top_n(root, keys))?,
+                    ActivationTemplate::TopN { limit },
+                ),
+                None => (
+                    shared(&mut self.sorts, shape, || self.builder.sort(root, keys))?,
+                    ActivationTemplate::Participate,
+                ),
             };
-            activations.push((node, ActivationTemplate::Participate));
+            activations.push((node, template));
             root = node;
         }
 
@@ -511,6 +513,43 @@ impl<'a> SqlCompiler<'a> {
             spec = spec.activate(op, template);
         }
         Ok(spec)
+    }
+
+    /// The shared-index-probe activation of a single-table statement: its
+    /// pushed-down `predicate` (resolved against `table`) needs a top-level
+    /// conjunct `col = ?` or `col = literal` on the table's single-column
+    /// primary key (preferred) or on a column with a secondary index. That
+    /// conjunct becomes the probe key, the remaining conjuncts the residual.
+    /// `None` when no conjunct qualifies (the statement scans).
+    fn probe_activation(
+        &self,
+        table: &str,
+        predicate: &Expr,
+    ) -> Result<Option<ActivationTemplate>> {
+        let handle = self.catalog.table(table)?;
+        let table = handle.read();
+        let conjuncts = predicate.split_conjuncts();
+        let equalities: Vec<(usize, usize, &Expr)> = conjuncts
+            .iter()
+            .enumerate()
+            .filter_map(|(i, c)| key_equality(c).map(|(column, key)| (i, column, key)))
+            .collect();
+        let columns: Vec<usize> = equalities.iter().map(|(_, column, _)| *column).collect();
+        let Some(chosen) = table.equality_access(&columns) else {
+            return Ok(None);
+        };
+        let (index, column, key) = equalities[chosen];
+        let residual: Vec<Expr> = conjuncts
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| *i != index)
+            .map(|(_, c)| (*c).clone())
+            .collect();
+        Ok(Some(ActivationTemplate::Probe {
+            column,
+            range: ProbeTemplate::Key(key.clone()),
+            residual: (!residual.is_empty()).then(|| Expr::conjunction(residual)),
+        }))
     }
 
     fn compile_insert(
@@ -600,6 +639,38 @@ impl<'a> SqlCompiler<'a> {
             table,
             UpdateTemplate::Delete { predicate },
         ))
+    }
+}
+
+/// The shared node stored under `key`, built by `build` on first use.
+fn shared<K: Hash + Eq>(
+    nodes: &mut HashMap<K, OperatorId>,
+    key: K,
+    build: impl FnOnce() -> Result<OperatorId>,
+) -> Result<OperatorId> {
+    if let Some(&node) = nodes.get(&key) {
+        return Ok(node);
+    }
+    let node = build()?;
+    nodes.insert(key, node);
+    Ok(node)
+}
+
+/// `(column, key)` when a resolved conjunct is `column = ?` or
+/// `column = literal`, in either operand order.
+fn key_equality(conjunct: &Expr) -> Option<(usize, &Expr)> {
+    let Expr::Binary {
+        op: BinaryOp::Eq,
+        left,
+        right,
+    } = conjunct
+    else {
+        return None;
+    };
+    match (left.as_ref(), right.as_ref()) {
+        (Expr::Column(column), key @ (Expr::Param(_) | Expr::Literal(_)))
+        | (key @ (Expr::Param(_) | Expr::Literal(_)), Expr::Column(column)) => Some((*column, key)),
+        _ => None,
     }
 }
 
@@ -1044,6 +1115,181 @@ mod tests {
         assert_eq!(census.get("Sort"), Some(&1));
         assert_eq!(census.get("GroupBy"), Some(&1));
         assert_eq!(registry.len(), WORKLOAD.len());
+    }
+
+    /// The access-path rules: pk and indexed equalities of single-table
+    /// statements share one index probe (the pk preferred, the other
+    /// conjuncts left as residual), joins keep their scans, and ORDER BY …
+    /// LIMIT shares one Top-N across different limits while DISTINCT …
+    /// LIMIT stays on the sort.
+    #[test]
+    fn access_paths_pick_probes_and_top_n() {
+        let catalog = catalog();
+        catalog
+            .create_index(shareddb_storage::IndexDef {
+                name: "ORDERS_USER".into(),
+                table: "ORDERS".into(),
+                column: "USER_ID".into(),
+            })
+            .unwrap();
+        let (plan, registry) = compile_workload(
+            &catalog,
+            &[
+                ("byId", "SELECT * FROM ORDERS WHERE STATUS = 'OK' AND ORDER_ID = ?"),
+                ("byUser", "SELECT * FROM ORDERS WHERE ? = USER_ID"),
+                ("byUserAndId", "SELECT * FROM ORDERS WHERE USER_ID = 3 AND ORDER_ID = ?"),
+                ("byStatus", "SELECT * FROM ORDERS WHERE STATUS = ?"),
+                ("top3", "SELECT * FROM ORDERS ORDER BY TOTAL DESC, ORDER_ID LIMIT 3"),
+                ("top5", "SELECT * FROM ORDERS ORDER BY TOTAL DESC, ORDER_ID LIMIT 5"),
+                ("distinctTop", "SELECT DISTINCT STATUS FROM ORDERS ORDER BY STATUS LIMIT 1"),
+                (
+                    "joined",
+                    "SELECT * FROM USERS U, ORDERS O WHERE U.USER_ID = O.USER_ID AND O.ORDER_ID = ?",
+                ),
+            ],
+        )
+        .unwrap();
+        registry.validate(&plan).unwrap();
+        let census = plan.operator_census();
+        assert_eq!(census.get("Probe(ORDERS)"), Some(&1), "plan:\n{plan}");
+        assert_eq!(census.get("TopN"), Some(&1), "plan:\n{plan}");
+        assert_eq!(census.get("Sort"), Some(&1), "plan:\n{plan}");
+        let probe_of = |name: &str| {
+            let (_, spec) = registry.get(name).unwrap();
+            spec.activations.iter().find_map(|(_, a)| match a {
+                ActivationTemplate::Probe {
+                    column, residual, ..
+                } => Some((*column, residual.is_some())),
+                _ => None,
+            })
+        };
+        assert_eq!(probe_of("byId"), Some((0, true)));
+        assert_eq!(probe_of("byUser"), Some((1, false)));
+        assert_eq!(probe_of("byUserAndId"), Some((0, true)), "the pk wins");
+        assert_eq!(probe_of("byStatus"), None, "STATUS has no index");
+        assert_eq!(probe_of("joined"), None, "joins keep their scans");
+
+        let engine = Engine::start(catalog, plan, registry, EngineConfig::default()).unwrap();
+        let ids = |name: &str, params: &[Value]| -> Vec<i64> {
+            let outcome = engine.execute_sync(name, params).unwrap();
+            outcome
+                .rows()
+                .iter()
+                .map(|r| r[0].as_int().unwrap())
+                .collect()
+        };
+        assert_eq!(ids("byId", &[Value::Int(3)]), vec![3]);
+        assert!(ids("byId", &[Value::Int(4)]).is_empty(), "residual rejects");
+        assert!(ids("byId", &[Value::Int(9_999)]).is_empty(), "missing key");
+        assert!(ids("byId", &[Value::Null]).is_empty(), "NULL key");
+        assert_eq!(ids("byUser", &[Value::Int(3)]), vec![3, 53, 103]);
+        assert_eq!(ids("byUserAndId", &[Value::Int(53)]), vec![53]);
+        assert!(ids("byUserAndId", &[Value::Int(54)]).is_empty());
+        // TOTAL = i % 40: 39 for orders 39, 79, 119; 38 for 38, 78, 118.
+        assert_eq!(ids("top3", &[]), vec![39, 79, 119]);
+        assert_eq!(ids("top5", &[]), vec![39, 79, 119, 38, 78]);
+        let outcome = engine.execute_sync("distinctTop", &[]).unwrap();
+        assert_eq!(outcome.rows().len(), 1);
+        assert_eq!(outcome.rows()[0][0], Value::text("OK"));
+    }
+
+    /// Compiled UPDATE and DELETE statements whose predicate has a `pk =`
+    /// or `indexed column =` conjunct find their rows through the index;
+    /// every step must equal the full-scan evaluation of the same
+    /// predicate, run on a twin table with neither primary key nor index.
+    #[test]
+    fn indexed_writes_equal_full_scan_writes() {
+        let twin = |indexed: bool| {
+            let catalog = Catalog::new();
+            let mut def = TableDef::new("USERS")
+                .column("USER_ID", DataType::Int)
+                .column("USERNAME", DataType::Text)
+                .column("COUNTRY", DataType::Text)
+                .column("ACCOUNT", DataType::Int);
+            if indexed {
+                def = def.primary_key(&["USER_ID"]);
+            }
+            catalog.create_table(def).unwrap();
+            if indexed {
+                catalog
+                    .create_index(shareddb_storage::IndexDef {
+                        name: "USERS_COUNTRY".into(),
+                        table: "USERS".into(),
+                        column: "COUNTRY".into(),
+                    })
+                    .unwrap();
+            }
+            let users = (0..30i64)
+                .map(|i| {
+                    shareddb_common::tuple![
+                        i,
+                        format!("user{i}"),
+                        ["CH", "DE", "IT"][(i % 3) as usize],
+                        i * 10
+                    ]
+                })
+                .collect();
+            catalog.bulk_load("USERS", users).unwrap();
+            let workload: &[(&str, &str)] = &[
+                (
+                    "setAccount",
+                    "UPDATE USERS SET ACCOUNT = ? WHERE USER_ID = ?",
+                ),
+                (
+                    "setAccountIfRich",
+                    "UPDATE USERS SET ACCOUNT = ACCOUNT + 1 WHERE ACCOUNT > ? AND USER_ID = ?",
+                ),
+                (
+                    "moveCountry",
+                    "UPDATE USERS SET COUNTRY = ? WHERE COUNTRY = ?",
+                ),
+                (
+                    "dropUser",
+                    "DELETE FROM USERS WHERE USER_ID = ? AND COUNTRY = ?",
+                ),
+                ("dropCountry", "DELETE FROM USERS WHERE COUNTRY = ?"),
+                ("all", "SELECT * FROM USERS"),
+            ];
+            let catalog = Arc::new(catalog);
+            let (plan, registry) = compile_workload(&catalog, workload).unwrap();
+            Engine::start(catalog, plan, registry, EngineConfig::default()).unwrap()
+        };
+        let (indexed, scanned) = (twin(true), twin(false));
+        let int = |i: i64| Value::Int(i);
+        let text = |s: &str| Value::text(s);
+        let steps: Vec<(&str, Vec<Value>, usize)> = vec![
+            ("setAccount", vec![int(77), int(4)], 1),
+            ("setAccount", vec![int(77), int(999)], 0),
+            ("setAccount", vec![int(77), Value::Null], 0),
+            ("setAccountIfRich", vec![int(1_000), int(5)], 0),
+            ("setAccountIfRich", vec![int(10), int(5)], 1),
+            ("moveCountry", vec![text("FR"), text("IT")], 10),
+            ("moveCountry", vec![text("FR"), text("XX")], 0),
+            ("dropUser", vec![int(7), text("CH")], 0),
+            ("dropUser", vec![int(7), text("DE")], 1),
+            ("dropUser", vec![int(7), text("DE")], 0),
+            ("dropCountry", vec![text("FR")], 10),
+            ("setAccount", vec![int(1), int(8)], 0),
+        ];
+        let all = |engine: &Engine| {
+            let mut rows: Vec<String> = engine
+                .execute_sync("all", &[])
+                .unwrap()
+                .rows()
+                .iter()
+                .map(|r| format!("{r:?}"))
+                .collect();
+            rows.sort();
+            rows
+        };
+        for (name, params, affected) in steps {
+            let via_index = indexed.execute_sync(name, &params).unwrap();
+            let via_scan = scanned.execute_sync(name, &params).unwrap();
+            assert_eq!(via_index.rows_affected(), affected, "{name} {params:?}");
+            assert_eq!(via_scan.rows_affected(), affected, "{name} {params:?}");
+            assert_eq!(all(&indexed), all(&scanned), "after {name} {params:?}");
+        }
+        assert_eq!(all(&indexed).len(), 19);
     }
 
     #[test]

@@ -17,10 +17,12 @@
 
 use crate::mvcc::{Snapshot, TimestampOracle};
 use crate::predicate_index::{IndexedQuery, PredicateIndex};
-use crate::table::Table;
+use crate::table::{RowId, Table};
 use crate::update::{UpdateOp, UpdateResult};
 use parking_lot::{Mutex, RwLock};
-use shareddb_common::{tuple_partition, Expr, QTuple, QueryId, Result, Schema, Tuple};
+use shareddb_common::{
+    tuple_partition, BinaryOp, Expr, QTuple, QueryId, Result, Schema, Tuple, Value,
+};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -251,11 +253,10 @@ pub(crate) fn apply_update(
             assignments,
             predicate,
         } => {
-            // Collect matching live rows first (borrow rules: scan immutably,
-            // then mutate).
-            let matching: Vec<(crate::table::RowId, Tuple)> = table
-                .scan_live()
-                .filter(|(_, row)| predicate.eval_predicate(row).unwrap_or(false))
+            // Collect matching live rows first (borrow rules: read
+            // immutably, then mutate).
+            let matching: Vec<(RowId, Tuple)> = matching_live_rows(table, predicate)
+                .into_iter()
                 .map(|(rid, row)| (rid, row.clone()))
                 .collect();
             let mut affected = 0;
@@ -270,9 +271,8 @@ pub(crate) fn apply_update(
             Ok(UpdateResult::new(affected))
         }
         UpdateOp::Delete { predicate } => {
-            let matching: Vec<crate::table::RowId> = table
-                .scan_live()
-                .filter(|(_, row)| predicate.eval_predicate(row).unwrap_or(false))
+            let matching: Vec<RowId> = matching_live_rows(table, predicate)
+                .into_iter()
                 .map(|(rid, _)| rid)
                 .collect();
             let mut affected = 0;
@@ -282,6 +282,34 @@ pub(crate) fn apply_update(
             }
             Ok(UpdateResult::new(affected))
         }
+    }
+}
+
+/// The live rows, in version order, on which the bound `predicate` of an
+/// UPDATE or DELETE holds. A top-level conjunct `column = literal` on the
+/// single-column primary key (preferred) or on an indexed column finds the
+/// candidates through that index; without one every live row is a
+/// candidate. Either way the whole predicate is evaluated on each candidate,
+/// and a row the conjunct rejects cannot satisfy the conjunction, so both
+/// paths select the same rows.
+fn matching_live_rows<'t>(table: &'t Table, predicate: &Expr) -> Vec<(RowId, &'t Tuple)> {
+    let matches = |(_, row): &(RowId, &Tuple)| predicate.eval_predicate(row).unwrap_or(false);
+    let equalities: Vec<(usize, &Value)> = predicate
+        .split_conjuncts()
+        .into_iter()
+        .filter_map(|c| match c.as_column_literal_cmp() {
+            Some((column, BinaryOp::Eq, key)) => Some((column, key)),
+            _ => None,
+        })
+        .collect();
+    let columns: Vec<usize> = equalities.iter().map(|(column, _)| *column).collect();
+    match table.equality_access(&columns) {
+        Some(i) => table
+            .lookup_eq(equalities[i].0, equalities[i].1, table.live_snapshot())
+            .into_iter()
+            .filter(matches)
+            .collect(),
+        None => table.scan_live().filter(matches).collect(),
     }
 }
 

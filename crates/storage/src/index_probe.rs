@@ -15,10 +15,10 @@
 
 use crate::clockscan::apply_update;
 use crate::mvcc::TimestampOracle;
-use crate::table::Table;
+use crate::table::{RowId, Table};
 use crate::update::{UpdateOp, UpdateResult};
 use parking_lot::{Mutex, RwLock};
-use shareddb_common::{Expr, QTuple, QueryId, QuerySet, Result, Schema, Value};
+use shareddb_common::{Expr, QTuple, QueryId, QuerySet, Result, Schema, Tuple, Value};
 use std::collections::VecDeque;
 use std::ops::Bound;
 use std::sync::Arc;
@@ -136,9 +136,10 @@ pub struct IndexProbe {
 }
 
 impl IndexProbe {
-    /// Creates an index-probe operator over a table. Probed columns must have
-    /// a secondary index or be the primary key; otherwise the probe falls
-    /// back to a (correct but slow) scan of the table.
+    /// Creates an index-probe operator over a table. Probed columns should
+    /// be the primary key or have a secondary index; otherwise the probe
+    /// falls back to a (correct but slow) scan of the table. Probes follow
+    /// SQL comparison ([`Table::lookup_eq`], [`Table::lookup_range`]).
     pub fn new(table: Arc<RwLock<Table>>, oracle: Arc<TimestampOracle>) -> Self {
         IndexProbe {
             table,
@@ -223,37 +224,13 @@ impl IndexProbe {
     ) -> Result<()> {
         // Deduplicate fetched rows across all probes of the batch: the NF²
         // data-query model stores each row once with the union of interested
-        // queries.
-        let mut by_row: std::collections::HashMap<crate::table::RowId, QuerySet> =
-            std::collections::HashMap::new();
+        // queries, emitted in version order.
+        let mut hits: Vec<(RowId, QueryId, &Tuple)> = Vec::new();
         for q in queries {
-            let rows: Vec<(crate::table::RowId, &shareddb_common::Tuple)> = match &q.range {
-                ProbeRange::Key(key) => {
-                    if table.has_index_on(q.column) {
-                        table.index_lookup(q.column, key, snapshot)
-                    } else if table.primary_key() == [q.column] {
-                        table
-                            .lookup_pk(std::slice::from_ref(key), snapshot)
-                            .into_iter()
-                            .collect()
-                    } else {
-                        // Fallback: scan (correct, but the planner should have
-                        // avoided this).
-                        table
-                            .scan(snapshot)
-                            .filter(|(_, row)| row[q.column].sql_eq(key))
-                            .collect()
-                    }
-                }
+            let rows = match &q.range {
+                ProbeRange::Key(key) => table.lookup_eq(q.column, key, snapshot),
                 ProbeRange::Range { low, high } => {
-                    if table.has_index_on(q.column) {
-                        table.index_range(q.column, as_ref_bound(low), as_ref_bound(high), snapshot)
-                    } else {
-                        table
-                            .scan(snapshot)
-                            .filter(|(_, row)| range_contains(low, high, &row[q.column]))
-                            .collect()
-                    }
+                    table.lookup_range(q.column, low.as_ref(), high.as_ref(), snapshot)
                 }
             };
             for (rid, row) in rows {
@@ -262,40 +239,16 @@ impl IndexProbe {
                         continue;
                     }
                 }
-                by_row.entry(rid).or_default().insert(q.query_id);
+                hits.push((rid, q.query_id, row));
             }
         }
-        let mut rows: Vec<(crate::table::RowId, QuerySet)> = by_row.into_iter().collect();
-        rows.sort_by_key(|(rid, _)| *rid);
-        for (rid, queries) in rows {
-            if let Some(row) = table.read(rid, snapshot) {
-                result.tuples.push(QTuple::new(row.clone(), queries));
-            }
+        hits.sort_unstable_by_key(|(rid, q, _)| (*rid, *q));
+        for group in hits.chunk_by(|a, b| a.0 == b.0) {
+            let queries = QuerySet::from_ids(group.iter().map(|(_, q, _)| *q));
+            result.tuples.push(QTuple::new(group[0].2.clone(), queries));
         }
         Ok(())
     }
-}
-
-fn as_ref_bound(b: &Bound<Value>) -> Bound<&Value> {
-    match b {
-        Bound::Included(v) => Bound::Included(v),
-        Bound::Excluded(v) => Bound::Excluded(v),
-        Bound::Unbounded => Bound::Unbounded,
-    }
-}
-
-fn range_contains(low: &Bound<Value>, high: &Bound<Value>, v: &Value) -> bool {
-    let low_ok = match low {
-        Bound::Unbounded => true,
-        Bound::Included(l) => v >= l,
-        Bound::Excluded(l) => v > l,
-    };
-    let high_ok = match high {
-        Bound::Unbounded => true,
-        Bound::Included(h) => v <= h,
-        Bound::Excluded(h) => v < h,
-    };
-    low_ok && high_ok
 }
 
 #[cfg(test)]

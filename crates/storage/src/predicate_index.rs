@@ -47,6 +47,8 @@ struct RangeEntry {
 pub struct PredicateIndex {
     queries: Vec<IndexedQuery>,
     /// column -> (value -> indices into `queries` with an equality conjunct).
+    /// Values are [`Value::sql_key`]s, so a literal finds every row value
+    /// SQL `=` equates with it (`Int` against `Date`, say).
     equality: HashMap<usize, HashMap<Value, Vec<usize>>>,
     /// column -> range conjuncts on that column.
     ranges: HashMap<usize, Vec<RangeEntry>>,
@@ -88,7 +90,7 @@ impl PredicateIndex {
                     .equality
                     .entry(col)
                     .or_default()
-                    .entry(value)
+                    .entry(value.sql_key().into_owned())
                     .or_default()
                     .push(i);
             } else if let Some((col, op, literal)) = range {
@@ -138,7 +140,7 @@ impl PredicateIndex {
         //    row's value in that column as the key (the query-data join).
         for (col, by_value) in &self.equality {
             let Some(v) = tuple.get(*col) else { continue };
-            if let Some(candidates) = by_value.get(v) {
+            if let Some(candidates) = by_value.get(&*v.sql_key()) {
                 for &idx in candidates {
                     verify(idx, &mut out)?;
                 }
@@ -180,6 +182,26 @@ mod tests {
             query_id: QueryId(id),
             predicate,
         }
+    }
+
+    /// The equality class finds every row value SQL `=` equates with the
+    /// literal, across `Int`, `Float` and `Date`; NULL matches nothing.
+    #[test]
+    fn equality_literals_match_sql_equal_values_of_other_types() {
+        let index = PredicateIndex::build(vec![
+            q(1, Expr::col(0).eq(Expr::lit(5i64))),
+            q(2, Expr::col(0).eq(Expr::Literal(Value::Date(5)))),
+            q(3, Expr::col(0).eq(Expr::Literal(Value::Null))),
+        ]);
+        for v in [Value::Date(5), Value::Int(5), Value::Float(5.0)] {
+            let m = index.matching_queries(&tuple![v]).unwrap();
+            assert!(m.contains(QueryId(1)) && m.contains(QueryId(2)));
+            assert!(!m.contains(QueryId(3)));
+        }
+        assert!(index
+            .matching_queries(&tuple![Value::Null])
+            .unwrap()
+            .is_empty());
     }
 
     #[test]

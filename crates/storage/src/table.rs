@@ -11,6 +11,8 @@ use crate::btree::BTreeIndex;
 use crate::mvcc::{Snapshot, TS_INFINITY};
 use shareddb_common::ids::Timestamp;
 use shareddb_common::{Error, Result, Schema, Tuple, Value};
+use std::borrow::Cow;
+use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::fmt;
 use std::ops::Bound;
@@ -73,6 +75,10 @@ pub struct Table {
     /// Secondary indexes. Indexes contain entries for every version; probes
     /// filter by visibility.
     indexes: Vec<SecondaryIndex>,
+    /// Largest commit timestamp of any write to the table. A snapshot at or
+    /// after it sees exactly the live versions, which is when the
+    /// latest-version `pk_index` answers for that snapshot.
+    last_commit: Timestamp,
 }
 
 impl Table {
@@ -85,6 +91,7 @@ impl Table {
             rows: Vec::new(),
             pk_index: HashMap::new(),
             indexes: Vec::new(),
+            last_commit: Timestamp(0),
         }
     }
 
@@ -121,7 +128,7 @@ impl Table {
         }
         let mut tree = BTreeIndex::new();
         for (i, row) in self.rows.iter().enumerate() {
-            tree.insert(row.values[column].clone(), RowId(i as u64));
+            tree.insert(row.values[column].sql_key().into_owned(), RowId(i as u64));
         }
         self.indexes.push(SecondaryIndex {
             name: name.into(),
@@ -149,10 +156,23 @@ impl Table {
         self.indexes.iter().any(|i| i.column == column)
     }
 
+    /// Position in `columns` of the column an equality look-up should go
+    /// through: the single-column primary key when it is there (its hash is
+    /// the cheapest path), else the first column with a secondary index;
+    /// `None` when no column is indexed.
+    pub fn equality_access(&self, columns: &[usize]) -> Option<usize> {
+        columns
+            .iter()
+            .position(|&c| self.primary_key == [c])
+            .or_else(|| columns.iter().position(|&c| self.has_index_on(c)))
+    }
+
+    /// The `pk_index` key of a row: its primary-key values as
+    /// [`Value::sql_key`]s, so keys equal under SQL `=` collide.
     fn pk_values(&self, values: &Tuple) -> Vec<Value> {
         self.primary_key
             .iter()
-            .map(|&i| values[i].clone())
+            .map(|&i| values[i].sql_key().into_owned())
             .collect()
     }
 
@@ -175,7 +195,9 @@ impl Table {
         }
         let row_id = RowId(self.rows.len() as u64);
         for index in &mut self.indexes {
-            index.tree.insert(values[index.column].clone(), row_id);
+            index
+                .tree
+                .insert(values[index.column].sql_key().into_owned(), row_id);
         }
         if !self.primary_key.is_empty() {
             let key = self.pk_values(&values);
@@ -186,6 +208,7 @@ impl Table {
             begin: ts,
             end: TS_INFINITY,
         });
+        self.last_commit = self.last_commit.max(ts);
         Ok(row_id)
     }
 
@@ -221,7 +244,9 @@ impl Table {
         self.rows[row_id.idx()].end = ts;
         let new_id = RowId(self.rows.len() as u64);
         for index in &mut self.indexes {
-            index.tree.insert(new_values[index.column].clone(), new_id);
+            index
+                .tree
+                .insert(new_values[index.column].sql_key().into_owned(), new_id);
         }
         if !self.primary_key.is_empty() {
             self.pk_index.insert(new_key, new_id);
@@ -237,6 +262,7 @@ impl Table {
             begin: ts,
             end: TS_INFINITY,
         });
+        self.last_commit = self.last_commit.max(ts);
         Ok(new_id)
     }
 
@@ -253,6 +279,7 @@ impl Table {
             )));
         }
         row.end = ts;
+        self.last_commit = self.last_commit.max(ts);
         Ok(())
     }
 
@@ -290,61 +317,123 @@ impl Table {
     }
 
     /// Looks up the latest version for a primary key and returns it if it is
-    /// visible in the snapshot.
+    /// visible in the snapshot. Key values match as [`Value::sql_key`]s.
     pub fn lookup_pk(&self, key: &[Value], snapshot: Snapshot) -> Option<(RowId, &Tuple)> {
-        let row_id = *self.pk_index.get(key)?;
+        let row_id = if key.iter().any(|v| matches!(v.sql_key(), Cow::Owned(_))) {
+            let folded: Vec<Value> = key.iter().map(|v| v.sql_key().into_owned()).collect();
+            *self.pk_index.get(&folded)?
+        } else {
+            *self.pk_index.get(key)?
+        };
         self.read(row_id, snapshot).map(|t| (row_id, t))
     }
 
-    /// Looks up the latest *live* version for a primary key regardless of
-    /// snapshots (used by updates, which always act on the newest state).
-    pub fn lookup_pk_live(&self, key: &[Value]) -> Option<RowId> {
-        let row_id = *self.pk_index.get(key)?;
-        self.rows[row_id.idx()].is_live().then_some(row_id)
+    /// The snapshot that sees exactly the live versions: updates and deletes
+    /// select their rows here, because they act on the newest state.
+    pub(crate) fn live_snapshot(&self) -> Snapshot {
+        Snapshot::at(self.last_commit)
     }
 
-    /// Probes a secondary index for an exact key, returning all visible rows.
-    pub fn index_lookup(
+    /// Rows visible in `snapshot` whose `column` is equal to `key` under SQL
+    /// `=` ([`Value::sql_eq`]): a NULL key matches nothing, and keys of
+    /// comparable types match across types (`Int` against `Date` or
+    /// `Float`). Rows come in version order.
+    ///
+    /// The access path is the primary-key hash when `column` is the
+    /// single-column primary key and no write is newer than `snapshot` (the
+    /// hash maps keys to their latest version only), else a secondary index
+    /// on `column`, else a scan of the snapshot.
+    pub fn lookup_eq(
         &self,
         column: usize,
         key: &Value,
         snapshot: Snapshot,
     ) -> Vec<(RowId, &Tuple)> {
-        let Some(index) = self.indexes.iter().find(|i| i.column == column) else {
+        if key.is_null() {
             return Vec::new();
-        };
-        index
-            .tree
-            .get(key)
-            .iter()
-            .filter_map(|&rid| self.read(rid, snapshot).map(|t| (rid, t)))
-            .collect()
+        }
+        if self.primary_key == [column] && snapshot.ts >= self.last_commit {
+            self.lookup_pk(std::slice::from_ref(key), snapshot)
+                .into_iter()
+                .collect()
+        } else if let Some(index) = self.index_on(column) {
+            index
+                .tree
+                .get(&key.sql_key())
+                .iter()
+                .filter_map(|&rid| self.read(rid, snapshot).map(|t| (rid, t)))
+                .collect()
+        } else {
+            self.scan(snapshot)
+                .filter(|(_, row)| row[column].sql_eq(key))
+                .collect()
+        }
     }
 
-    /// Probes a secondary index for a key range, returning all visible rows in
-    /// key order.
-    pub fn index_range(
+    /// Rows visible in `snapshot` whose `column` lies between `low` and
+    /// `high` under SQL comparison ([`Value::sql_cmp`]): a NULL bound
+    /// matches nothing and NULL column values never match. Uses a secondary
+    /// index on `column` when there is one (rows in key order), else scans
+    /// the snapshot (rows in version order).
+    pub fn lookup_range(
         &self,
         column: usize,
         low: Bound<&Value>,
         high: Bound<&Value>,
         snapshot: Snapshot,
     ) -> Vec<(RowId, &Tuple)> {
-        let Some(index) = self.indexes.iter().find(|i| i.column == column) else {
+        if [low, high]
+            .iter()
+            .any(|b| matches!(b, Bound::Included(v) | Bound::Excluded(v) if v.is_null()))
+        {
             return Vec::new();
+        }
+        let in_range = |v: &Value| sql_in_range(v, low, high);
+        let Some(index) = self.index_on(column) else {
+            return self
+                .scan(snapshot)
+                .filter(|(_, row)| in_range(&row[column]))
+                .collect();
         };
+        let key = |b: Bound<&Value>| b.map(|v| v.sql_key().into_owned());
+        // The index orders comparable keys as SQL does; the re-check drops
+        // NULL keys and keys no bound compares with.
         index
             .tree
-            .range_rows(low, high)
+            .range_rows(key(low).as_ref(), key(high).as_ref())
             .into_iter()
             .filter_map(|rid| self.read(rid, snapshot).map(|t| (rid, t)))
+            .filter(|(_, row)| in_range(&row[column]))
             .collect()
+    }
+
+    fn index_on(&self, column: usize) -> Option<&SecondaryIndex> {
+        self.indexes.iter().find(|i| i.column == column)
     }
 
     /// Approximate memory footprint in bytes (payloads only).
     pub fn heap_size(&self) -> usize {
         self.rows.iter().map(|r| r.values.heap_size()).sum()
     }
+}
+
+/// True when `v` lies within the bounds under SQL comparison (NULL never
+/// does).
+fn sql_in_range(v: &Value, low: Bound<&Value>, high: Bound<&Value>) -> bool {
+    if v.is_null() {
+        return false;
+    }
+    let above = match low {
+        Bound::Unbounded => true,
+        Bound::Included(l) => matches!(v.sql_cmp(l), Some(Ordering::Greater | Ordering::Equal)),
+        Bound::Excluded(l) => v.sql_cmp(l) == Some(Ordering::Greater),
+    };
+    let below = match high {
+        Bound::Unbounded => true,
+        Bound::Included(h) => matches!(v.sql_cmp(h), Some(Ordering::Less | Ordering::Equal)),
+        Bound::Excluded(h) => v.sql_cmp(h) == Some(Ordering::Less),
+    };
+    above && below
 }
 
 impl fmt::Debug for Table {
@@ -445,7 +534,6 @@ mod tests {
         assert!(t
             .lookup_pk(&[Value::Int(7)], Snapshot::at(Timestamp(2)))
             .is_none());
-        assert!(t.lookup_pk_live(&[Value::Int(7)]).is_some());
         assert!(t
             .lookup_pk(&[Value::Int(99)], Snapshot::at(Timestamp(9)))
             .is_none());
@@ -463,10 +551,10 @@ mod tests {
             .unwrap();
         }
         let snap = Snapshot::at(Timestamp(1));
-        let hits = t.index_lookup(2, &Value::Float(3.0), snap);
+        let hits = t.lookup_eq(2, &Value::Float(3.0), snap);
         assert_eq!(hits.len(), 10);
         assert!(hits.iter().all(|(_, r)| r[2] == Value::Float(3.0)));
-        let ranged = t.index_range(
+        let ranged = t.lookup_range(
             2,
             Bound::Included(&Value::Float(8.0)),
             Bound::Unbounded,
@@ -487,12 +575,92 @@ mod tests {
             .unwrap();
         // At ts=2, only the old version (price 5.0) is visible.
         let snap = Snapshot::at(Timestamp(2));
-        assert_eq!(t.index_lookup(2, &Value::Float(5.0), snap).len(), 1);
-        assert_eq!(t.index_lookup(2, &Value::Float(6.0), snap).len(), 0);
+        assert_eq!(t.lookup_eq(2, &Value::Float(5.0), snap).len(), 1);
+        assert_eq!(t.lookup_eq(2, &Value::Float(6.0), snap).len(), 0);
         // At ts=5 the situation flips.
         let snap = Snapshot::at(Timestamp(5));
-        assert_eq!(t.index_lookup(2, &Value::Float(5.0), snap).len(), 0);
-        assert_eq!(t.index_lookup(2, &Value::Float(6.0), snap).len(), 1);
+        assert_eq!(t.lookup_eq(2, &Value::Float(5.0), snap).len(), 0);
+        assert_eq!(t.lookup_eq(2, &Value::Float(6.0), snap).len(), 1);
+    }
+
+    /// Probe look-ups follow SQL `=` and SQL comparison on every access
+    /// path: NULL keys and bounds match nothing, NULL values never match,
+    /// and an `Int` key finds the `Date` (and `Float`) values it equals.
+    #[test]
+    fn lookups_follow_sql_comparison() {
+        let schema = Schema::new(vec![
+            Column::new("ID", DataType::Int),
+            Column::nullable("D", DataType::Date),
+            Column::nullable("D2", DataType::Date),
+        ]);
+        let mut t = Table::new("T", schema, vec![0]);
+        t.create_index("T_D", 1).unwrap();
+        // The schema admits `Int` values in a `Date` column.
+        let values = [Value::Date(5), Value::Int(5), Value::Null, Value::Date(9)];
+        for (i, v) in values.iter().enumerate() {
+            t.insert(
+                Tuple::new(vec![Value::Int(i as i64), v.clone(), v.clone()]),
+                Timestamp(1),
+            )
+            .unwrap();
+        }
+        let snap = Snapshot::at(Timestamp(1));
+        let ids = |rows: Vec<(RowId, &Tuple)>| -> Vec<i64> {
+            rows.iter().map(|(_, r)| r[0].as_int().unwrap()).collect()
+        };
+        // Column 1 is indexed, column 2 is not: both paths must agree.
+        for column in [1, 2] {
+            assert!(t.lookup_eq(column, &Value::Null, snap).is_empty());
+            assert_eq!(ids(t.lookup_eq(column, &Value::Int(5), snap)), vec![0, 1]);
+            assert_eq!(ids(t.lookup_eq(column, &Value::Date(5), snap)), vec![0, 1]);
+            assert_eq!(
+                ids(t.lookup_eq(column, &Value::Float(5.0), snap)),
+                vec![0, 1]
+            );
+            assert!(t.lookup_eq(column, &Value::text("5"), snap).is_empty());
+            let mut all = ids(t.lookup_range(column, Bound::Unbounded, Bound::Unbounded, snap));
+            all.sort_unstable();
+            assert_eq!(all, vec![0, 1, 3], "NULL values never lie in a range");
+            let low = Value::Int(6);
+            assert_eq!(
+                ids(t.lookup_range(column, Bound::Included(&low), Bound::Unbounded, snap)),
+                vec![3]
+            );
+            assert!(t
+                .lookup_range(
+                    column,
+                    Bound::Included(&Value::Null),
+                    Bound::Unbounded,
+                    snap
+                )
+                .is_empty());
+        }
+        // `Int` and `Date` primary keys SQL `=` equates collide.
+        assert!(t
+            .insert(
+                tuple![Value::Date(0), Value::Null, Value::Null],
+                Timestamp(2)
+            )
+            .is_err());
+        assert_eq!(ids(t.lookup_eq(0, &Value::Date(3), snap)), vec![3]);
+    }
+
+    /// The primary-key hash only knows each key's latest version, so a
+    /// look-up at a snapshot older than the table's last write reads the
+    /// snapshot instead and still finds the version visible there.
+    #[test]
+    fn pk_lookup_at_an_older_snapshot_finds_the_visible_version() {
+        let mut t = items_table();
+        let r1 = t.insert(tuple![7i64, "A", 1.0f64], Timestamp(1)).unwrap();
+        t.update_row(r1, tuple![7i64, "A", 2.0f64], Timestamp(3))
+            .unwrap();
+        let old = t.lookup_eq(0, &Value::Int(7), Snapshot::at(Timestamp(2)));
+        assert_eq!(old.len(), 1);
+        assert_eq!(old[0].1[2], Value::Float(1.0));
+        let new = t.lookup_eq(0, &Value::Int(7), t.live_snapshot());
+        assert_eq!(new.len(), 1);
+        assert_eq!(new[0].1[2], Value::Float(2.0));
+        assert!(t.lookup_eq(0, &Value::Int(8), t.live_snapshot()).is_empty());
     }
 
     #[test]

@@ -345,6 +345,130 @@ fn explain_analyze_shows_shared_scan_with_attributed_costs() {
     server.shutdown();
 }
 
+/// The three ad-hoc statement types of the benchmark's `adhoc_sql` workload,
+/// compiled by `Server::start_sql` on the TPC-W catalog (which indexes
+/// `I_ID` and `I_SUBJECT`): both look-ups read through ITEM's one shared index
+/// probe, the subject search's `ORDER BY … LIMIT` is a shared Top-N, and no
+/// statement scans ITEM. The answers match direct reads of the table.
+#[test]
+fn adhoc_item_statements_explain_as_index_probe_and_top_n() {
+    use shareddb::tpcw::schema::{build_catalog, TpcwScale};
+    const ADHOC: &[(&str, &str)] = &[
+        (
+            "itemById",
+            "SELECT I_ID, I_TITLE, I_COST FROM ITEM WHERE I_ID = ?",
+        ),
+        (
+            "itemsBySubject",
+            "SELECT I_ID, I_TITLE, I_COST FROM ITEM WHERE I_SUBJECT = ? \
+             ORDER BY I_PUB_DATE DESC LIMIT 50",
+        ),
+        ("setItemStock", "UPDATE ITEM SET I_STOCK = ? WHERE I_ID = ?"),
+    ];
+    let catalog = Arc::new(build_catalog(&TpcwScale::tiny()).unwrap());
+    let mut server = Server::start_sql(
+        Arc::clone(&catalog),
+        ADHOC,
+        EngineConfig::default(),
+        ServerConfig::default(),
+    )
+    .unwrap();
+    let mut conn = Connection::connect(server.local_addr()).unwrap();
+    let explain = |conn: &mut Connection, name: &str| conn.explain(name, false).unwrap().text;
+    let by_id = explain(&mut conn, "itemById");
+    let by_subject = explain(&mut conn, "itemsBySubject");
+    let set_stock = explain(&mut conn, "setItemStock");
+    assert!(by_id.contains("Probe(ITEM)"), "{by_id}");
+    assert!(by_subject.contains("Probe(ITEM)"), "{by_subject}");
+    assert!(by_subject.contains("TopN"), "{by_subject}");
+    for text in [&by_id, &by_subject, &set_stock] {
+        assert!(!text.contains("Scan(ITEM)"), "{text}");
+        assert!(!text.contains("Sort"), "{text}");
+    }
+
+    // Direct reads of ITEM (I_ID, I_TITLE, I_SUBJECT, I_PUB_DATE columns).
+    let table = catalog.table("ITEM").unwrap();
+    let schema = table.read().schema().clone();
+    let col = |name: &str| schema.resolve(None, name).unwrap();
+    let (id, title, subject, pub_date) = (
+        col("I_ID"),
+        col("I_TITLE"),
+        col("I_SUBJECT"),
+        col("I_PUB_DATE"),
+    );
+    let rows: Vec<Vec<Value>> = table
+        .read()
+        .scan_live()
+        .map(|(_, row)| row.values().to_vec())
+        .collect();
+    let item7 = rows
+        .iter()
+        .find(|r| r[id] == Value::Int(7))
+        .unwrap()
+        .clone();
+
+    let outcome = conn
+        .query("SELECT I_ID, I_TITLE, I_COST FROM ITEM WHERE I_ID = 7")
+        .unwrap();
+    assert_eq!(outcome.rows().len(), 1);
+    assert_eq!(outcome.rows()[0][1], item7[title]);
+    assert!(conn
+        .query("SELECT I_ID, I_TITLE, I_COST FROM ITEM WHERE I_ID = 100000")
+        .unwrap()
+        .rows()
+        .is_empty());
+
+    let Value::Text(subject_of_7) = &item7[subject] else {
+        panic!("subject is text");
+    };
+    let outcome = conn
+        .query(&format!(
+            "SELECT I_ID, I_TITLE, I_COST FROM ITEM WHERE I_SUBJECT = '{subject_of_7}' \
+             ORDER BY I_PUB_DATE DESC LIMIT 50"
+        ))
+        .unwrap();
+    let mut want: Vec<&Vec<Value>> = rows
+        .iter()
+        .filter(|r| r[subject] == item7[subject])
+        .collect();
+    want.sort_by(|a, b| b[pub_date].cmp(&a[pub_date]));
+    want.truncate(50);
+    let got_ids: Vec<&Value> = outcome.rows().iter().map(|r| &r[0]).collect();
+    let mut got_sorted = got_ids.clone();
+    got_sorted.sort();
+    let mut want_ids: Vec<&Value> = want.iter().map(|r| &r[id]).collect();
+    want_ids.sort();
+    assert_eq!(
+        got_sorted, want_ids,
+        "subject search differs from a direct read"
+    );
+    let dates: Vec<&Value> = got_ids
+        .iter()
+        .map(|i| &rows.iter().find(|r| &r[id] == *i).unwrap()[pub_date])
+        .collect();
+    assert!(
+        dates.windows(2).all(|w| w[0] >= w[1]),
+        "not newest first: {dates:?}"
+    );
+
+    let outcome = conn
+        .query("UPDATE ITEM SET I_STOCK = 4242 WHERE I_ID = 7")
+        .unwrap();
+    assert_eq!(outcome.rows_affected(), 1);
+    let stock = col("I_STOCK");
+    let live: Vec<Vec<Value>> = table
+        .read()
+        .scan_live()
+        .filter(|(_, row)| row[id] == Value::Int(7))
+        .map(|(_, row)| row.values().to_vec())
+        .collect();
+    assert_eq!(live.len(), 1);
+    assert_eq!(live[0][stock], Value::Int(4242));
+
+    let _ = conn.close();
+    server.shutdown();
+}
+
 /// Statement names carrying quotes and backslashes must be escaped in every
 /// label of the exposition — a raw `"` inside a label value breaks the whole
 /// scrape for the collector.

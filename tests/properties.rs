@@ -17,6 +17,7 @@ use shareddb::storage::table::RowId;
 use shareddb::storage::{BTreeIndex, Catalog};
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Bound;
+use std::sync::Arc;
 
 // ---------------------------------------------------------------------------
 // QuerySet laws
@@ -279,5 +280,140 @@ proptest! {
         // deleted afterwards.
         let table = catalog.table("T").unwrap();
         prop_assert_eq!(table.read().scan(before).count(), 100);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Storage: index probes follow SQL `=` exactly like scans
+// ---------------------------------------------------------------------------
+
+/// A row value for a column of `data_type` (the schema admits `Int` in
+/// `Float`/`Date` columns and `Date`/`Float` in `Int` columns).
+fn column_value(data_type: shareddb::common::DataType, kind: u8, v: i64) -> Value {
+    use shareddb::common::DataType;
+    match (kind, data_type) {
+        (0, _) => Value::Null,
+        (1, DataType::Date) => Value::Date(v),
+        (1, _) | (2, DataType::Date) => Value::Int(v),
+        (2, DataType::Int) => Value::Date(v),
+        (2, _) => Value::Float(v as f64),
+        (_, DataType::Date) => Value::Date(v),
+        (_, _) => Value::Float(v as f64 + 0.5),
+    }
+}
+
+/// A probe key: NULL, or a number, fraction, date or text near `v`.
+fn probe_key(kind: u8, v: i64) -> Value {
+    match kind {
+        0 => Value::Null,
+        1 => Value::Int(v),
+        2 => Value::Float(v as f64),
+        3 => Value::Float(v as f64 + 0.5),
+        4 => Value::Date(v),
+        _ => Value::text(v.to_string()),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+    #[test]
+    fn index_probe_equals_scan_under_sql_equality(
+        rows in proptest::collection::vec((0u8..4, 0i64..6), 1..40),
+        updates in proptest::collection::vec((0i64..8, 0u8..4, 0i64..6), 0..8),
+        probes in proptest::collection::vec((0usize..4, 0u8..6, 0i64..6), 1..12),
+    ) {
+        use shareddb::common::{DataType, Expr};
+        use shareddb::storage::{ClockScan, IndexDef, IndexProbe, ProbeQuery, ScanQuery, TableDef, UpdateOp};
+        let types = [DataType::Int, DataType::Float, DataType::Date, DataType::Int];
+        let catalog = Catalog::new();
+        catalog
+            .create_table(
+                TableDef::new("T")
+                    .column("ID", DataType::Int)
+                    .nullable_column("F", DataType::Float)
+                    .nullable_column("D", DataType::Date)
+                    .nullable_column("I", DataType::Int)
+                    .primary_key(&["ID"]),
+            )
+            .unwrap();
+        for column in ["F", "D", "I"] {
+            catalog
+                .create_index(IndexDef {
+                    name: format!("T_{column}"),
+                    table: "T".into(),
+                    column: column.into(),
+                })
+                .unwrap();
+        }
+        let tuples = rows
+            .iter()
+            .enumerate()
+            .map(|(id, &(kind, v))| {
+                let mut values = vec![Value::Int(id as i64)];
+                values.extend(types[1..].iter().map(|&t| column_value(t, kind, v)));
+                Tuple::new(values)
+            })
+            .collect();
+        catalog.bulk_load("T", tuples).unwrap();
+        // Writes after `pinned` leave the primary-key hash ahead of it.
+        let pinned = catalog.oracle().read_ts();
+        for (id, kind, v) in updates {
+            catalog
+                .apply_batch(&[(
+                    "T".into(),
+                    UpdateOp::Update {
+                        assignments: (1..4).map(|c| (c, Expr::Literal(column_value(types[c], kind, v)))).collect(),
+                        predicate: Expr::col(0).eq(Expr::lit(id)),
+                    },
+                )])
+                .unwrap();
+        }
+        let table = catalog.table("T").unwrap();
+        let probe = IndexProbe::new(Arc::clone(&table), catalog.oracle());
+        let scan = ClockScan::new(table, catalog.oracle());
+        for snapshot in [pinned, catalog.oracle().read_ts()] {
+            let keys: Vec<(usize, Value)> = probes.iter().map(|&(c, kind, v)| (c, probe_key(kind, v))).collect();
+            let probed = probe
+                .execute_batch(
+                    &keys
+                        .iter()
+                        .enumerate()
+                        .map(|(q, (c, key))| ProbeQuery::key(QueryId(q as u32), *c, key.clone()).at_snapshot(Some(snapshot)))
+                        .collect::<Vec<_>>(),
+                    &[],
+                )
+                .unwrap()
+                .tuples;
+            let scanned = scan
+                .execute_batch(
+                    &keys
+                        .iter()
+                        .enumerate()
+                        .map(|(q, (c, key))| {
+                            ScanQuery::new(QueryId(q as u32), Expr::col(*c).eq(Expr::Literal(key.clone())))
+                                .at_snapshot(Some(snapshot))
+                        })
+                        .collect::<Vec<_>>(),
+                    &[],
+                )
+                .unwrap()
+                .tuples;
+            for (q, (c, key)) in keys.iter().enumerate() {
+                let rows_of = |tuples: &[QTuple]| -> Vec<String> {
+                    let mut rows: Vec<String> = tuples
+                        .iter()
+                        .filter(|t| t.queries.contains(QueryId(q as u32)))
+                        .map(|t| format!("{:?}", t.tuple))
+                        .collect();
+                    rows.sort();
+                    rows
+                };
+                let want = rows_of(&scanned);
+                prop_assert_eq!(rows_of(&probed), want.clone(), "column {} = {:?}", c, key);
+                if key.is_null() {
+                    prop_assert!(want.is_empty());
+                }
+            }
+        }
     }
 }
