@@ -83,7 +83,7 @@ fn bench_shared_probe(c: &mut Criterion) {
             })
             .collect();
         group.bench_with_input(BenchmarkId::new("lookups", batch), &batch, |b, _| {
-            b.iter(|| probe.execute_batch(&queries, &[]).unwrap().tuples.len())
+            b.iter(|| probe.execute_batch(&queries).unwrap().len())
         });
     }
     group.finish();

@@ -49,7 +49,7 @@ fn bench_clockscan(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("equality_batch", queries),
             &queries,
-            |b, _| b.iter(|| scan.execute_batch(&batch, &[]).unwrap().tuples.len()),
+            |b, _| b.iter(|| scan.execute_batch(&batch).unwrap().len()),
         );
     }
     group.finish();

@@ -58,7 +58,7 @@ fn bench_shared_join(c: &mut Criterion) {
                         probe_key: 0,
                     },
                     &activations,
-                    vec![build.clone(), probe.clone()],
+                    &[&build, &probe],
                     &ctx,
                 )
                 .unwrap()
@@ -86,7 +86,7 @@ fn bench_shared_join(c: &mut Criterion) {
                             probe_key: 0,
                         },
                         &act,
-                        vec![build_q, probe_q],
+                        &[&build_q, &probe_q],
                         &ctx,
                     )
                     .unwrap()
@@ -126,7 +126,7 @@ fn bench_shared_sort(c: &mut Criterion) {
                         keys: vec![SortKey::asc(0)],
                     },
                     &activations,
-                    vec![input.clone()],
+                    &[&input],
                     &ctx,
                 )
                 .unwrap()
@@ -147,7 +147,7 @@ fn bench_shared_sort(c: &mut Criterion) {
                             keys: vec![SortKey::asc(0)],
                         },
                         &act,
-                        vec![input_q],
+                        &[&input_q],
                         &ctx,
                     )
                     .unwrap()

@@ -11,6 +11,7 @@ use crate::error::{Error, Result};
 use crate::schema::Schema;
 use crate::tuple::Tuple;
 use crate::value::Value;
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::fmt;
 
@@ -443,45 +444,70 @@ impl Expr {
 
     /// Evaluates the expression against a tuple.
     pub fn eval(&self, tuple: &Tuple) -> Result<Value> {
-        match self {
-            Expr::Column(i) => tuple
-                .get(*i)
-                .cloned()
-                .ok_or_else(|| Error::Internal(format!("column index {i} out of bounds"))),
-            Expr::NamedColumn { qualifier, name } => Err(Error::Internal(format!(
-                "unresolved column reference {}{name}",
-                qualifier
-                    .as_deref()
-                    .map(|q| format!("{q}."))
-                    .unwrap_or_default()
-            ))),
-            Expr::Literal(v) => Ok(v.clone()),
-            Expr::Param(i) => Err(Error::InvalidParameter(format!("unbound parameter ${i}"))),
+        self.eval_cow(tuple).map(Cow::into_owned)
+    }
+
+    /// Evaluates the expression as a predicate: NULL and FALSE both reject the
+    /// tuple (SQL WHERE semantics). Columns and literals are read in place,
+    /// so testing a row allocates nothing.
+    pub fn eval_predicate(&self, tuple: &Tuple) -> Result<bool> {
+        match self.eval_cow(tuple)?.as_ref() {
+            Value::Bool(b) => Ok(*b),
+            Value::Null => Ok(false),
+            other => Err(Error::TypeMismatch {
+                expected: "Bool".into(),
+                found: format!("{other:?}"),
+            }),
+        }
+    }
+
+    /// The evaluator behind [`Expr::eval`]: columns and literals are borrowed
+    /// from the tuple and the expression, only computed values are owned.
+    fn eval_cow<'a>(&'a self, tuple: &'a Tuple) -> Result<Cow<'a, Value>> {
+        let value = match self {
+            Expr::Column(i) => {
+                return tuple
+                    .get(*i)
+                    .map(Cow::Borrowed)
+                    .ok_or_else(|| Error::Internal(format!("column index {i} out of bounds")))
+            }
+            Expr::NamedColumn { qualifier, name } => {
+                return Err(Error::Internal(format!(
+                    "unresolved column reference {}{name}",
+                    qualifier
+                        .as_deref()
+                        .map(|q| format!("{q}."))
+                        .unwrap_or_default()
+                )))
+            }
+            Expr::Literal(v) => return Ok(Cow::Borrowed(v)),
+            Expr::Param(i) => {
+                return Err(Error::InvalidParameter(format!("unbound parameter ${i}")))
+            }
             Expr::Binary { op, left, right } => {
-                eval_binary(*op, &left.eval(tuple)?, &right.eval(tuple)?)
+                eval_binary(*op, &*left.eval_cow(tuple)?, &*right.eval_cow(tuple)?)?
             }
             Expr::Unary { op, expr } => {
-                let v = expr.eval(tuple)?;
-                match op {
-                    UnaryOp::Not => match v {
-                        Value::Null => Ok(Value::Null),
-                        Value::Bool(b) => Ok(Value::Bool(!b)),
-                        other => Err(Error::TypeMismatch {
+                let v = expr.eval_cow(tuple)?;
+                match (op, v.as_ref()) {
+                    (UnaryOp::IsNull, v) => Value::Bool(v.is_null()),
+                    (UnaryOp::IsNotNull, v) => Value::Bool(!v.is_null()),
+                    (UnaryOp::Not | UnaryOp::Neg, Value::Null) => Value::Null,
+                    (UnaryOp::Not, Value::Bool(b)) => Value::Bool(!b),
+                    (UnaryOp::Neg, Value::Int(i)) => Value::Int(-i),
+                    (UnaryOp::Neg, Value::Float(f)) => Value::Float(-f),
+                    (UnaryOp::Not, other) => {
+                        return Err(Error::TypeMismatch {
                             expected: "Bool".into(),
                             found: format!("{other:?}"),
-                        }),
-                    },
-                    UnaryOp::Neg => match v {
-                        Value::Null => Ok(Value::Null),
-                        Value::Int(i) => Ok(Value::Int(-i)),
-                        Value::Float(f) => Ok(Value::Float(-f)),
-                        other => Err(Error::TypeMismatch {
+                        })
+                    }
+                    (UnaryOp::Neg, other) => {
+                        return Err(Error::TypeMismatch {
                             expected: "numeric".into(),
                             found: format!("{other:?}"),
-                        }),
-                    },
-                    UnaryOp::IsNull => Ok(Value::Bool(v.is_null())),
-                    UnaryOp::IsNotNull => Ok(Value::Bool(!v.is_null())),
+                        })
+                    }
                 }
             }
             Expr::Like {
@@ -489,18 +515,19 @@ impl Expr {
                 pattern,
                 negated,
             } => {
-                let v = expr.eval(tuple)?;
-                let p = pattern.eval(tuple)?;
-                match (&v, &p) {
-                    (Value::Null, _) | (_, Value::Null) => Ok(Value::Null),
+                let v = expr.eval_cow(tuple)?;
+                let p = pattern.eval_cow(tuple)?;
+                match (v.as_ref(), p.as_ref()) {
+                    (Value::Null, _) | (_, Value::Null) => Value::Null,
                     (Value::Text(s), Value::Text(pat)) => {
-                        let m = like_match(s, pat);
-                        Ok(Value::Bool(if *negated { !m } else { m }))
+                        Value::Bool(like_match(s, pat) != *negated)
                     }
-                    _ => Err(Error::TypeMismatch {
-                        expected: "Text LIKE Text".into(),
-                        found: format!("{v:?} LIKE {p:?}"),
-                    }),
+                    (v, p) => {
+                        return Err(Error::TypeMismatch {
+                            expected: "Text LIKE Text".into(),
+                            found: format!("{v:?} LIKE {p:?}"),
+                        })
+                    }
                 }
             }
             Expr::InList {
@@ -508,45 +535,32 @@ impl Expr {
                 list,
                 negated,
             } => {
-                let v = expr.eval(tuple)?;
+                let v = expr.eval_cow(tuple)?;
                 if v.is_null() {
-                    return Ok(Value::Null);
+                    return Ok(Cow::Owned(Value::Null));
                 }
                 let mut found = false;
                 for item in list {
-                    let iv = item.eval(tuple)?;
-                    if v.sql_eq(&iv) {
+                    if v.sql_eq(&*item.eval_cow(tuple)?) {
                         found = true;
                         break;
                     }
                 }
-                Ok(Value::Bool(if *negated { !found } else { found }))
+                Value::Bool(found != *negated)
             }
             Expr::Between { expr, low, high } => {
-                let v = expr.eval(tuple)?;
-                let lo = low.eval(tuple)?;
-                let hi = high.eval(tuple)?;
+                let v = expr.eval_cow(tuple)?;
+                let lo = low.eval_cow(tuple)?;
+                let hi = high.eval_cow(tuple)?;
                 match (v.sql_cmp(&lo), v.sql_cmp(&hi)) {
                     (Some(a), Some(b)) => {
-                        Ok(Value::Bool(a != Ordering::Less && b != Ordering::Greater))
+                        Value::Bool(a != Ordering::Less && b != Ordering::Greater)
                     }
-                    _ => Ok(Value::Null),
+                    _ => Value::Null,
                 }
             }
-        }
-    }
-
-    /// Evaluates the expression as a predicate: NULL and FALSE both reject the
-    /// tuple (SQL WHERE semantics).
-    pub fn eval_predicate(&self, tuple: &Tuple) -> Result<bool> {
-        match self.eval(tuple)? {
-            Value::Bool(b) => Ok(b),
-            Value::Null => Ok(false),
-            other => Err(Error::TypeMismatch {
-                expected: "Bool".into(),
-                found: format!("{other:?}"),
-            }),
-        }
+        };
+        Ok(Cow::Owned(value))
     }
 }
 
@@ -629,19 +643,47 @@ fn eval_binary(op: BinaryOp, left: &Value, right: &Value) -> Result<Value> {
 
 /// SQL `LIKE` matching with `%` (any sequence) and `_` (any single character).
 /// Matching is case-sensitive, as in the TPC-W reference implementation.
+///
+/// Characters, not bytes, are matched. The matcher is greedy and, on a
+/// mismatch, only backtracks to the most recent `%`, letting it absorb one
+/// more character: an earlier `%` never needs to be revisited, because
+/// anything it could absorb the later one can too. That bounds the work at
+/// O(|s| · |pattern|) and allocates nothing.
 pub fn like_match(s: &str, pattern: &str) -> bool {
-    fn rec(s: &[u8], p: &[u8]) -> bool {
-        match p.first() {
-            None => s.is_empty(),
-            Some(b'%') => {
-                // Try every split point; also allows %% sequences.
-                (0..=s.len()).any(|k| rec(&s[k..], &p[1..]))
+    // Byte offsets into `s` and `pattern`; `retry` is the pattern offset just
+    // after the last `%` and the offset in `s` where its next attempt starts.
+    let (mut si, mut pi) = (0, 0);
+    let mut retry: Option<(usize, usize)> = None;
+    loop {
+        let c = s[si..].chars().next();
+        match pattern[pi..].chars().next() {
+            Some('%') => {
+                pi += 1;
+                retry = Some((pi, si));
+                continue;
             }
-            Some(b'_') => !s.is_empty() && rec(&s[1..], &p[1..]),
-            Some(&c) => s.first() == Some(&c) && rec(&s[1..], &p[1..]),
+            Some(p) => {
+                if let Some(c) = c.filter(|&c| p == '_' || p == c) {
+                    pi += p.len_utf8();
+                    si += c.len_utf8();
+                    continue;
+                }
+            }
+            None if c.is_none() => return true,
+            None => {}
         }
+        // Mismatch: the last `%` absorbs one more character, or, without
+        // one, the match fails.
+        let Some((after_percent, start)) = retry else {
+            return false;
+        };
+        let Some(absorbed) = s[start..].chars().next() else {
+            return false;
+        };
+        let start = start + absorbed.len_utf8();
+        retry = Some((after_percent, start));
+        (pi, si) = (after_percent, start);
     }
-    rec(s.as_bytes(), pattern.as_bytes())
 }
 
 impl fmt::Display for Expr {
@@ -796,6 +838,26 @@ mod tests {
         assert!(!like_match("SharedDB", "shared%")); // case sensitive
         assert!(!like_match("SharedDB", "_"));
         assert!(like_match("a%b", "a\u{25}b")); // literal percent matches itself via %
+    }
+
+    #[test]
+    fn like_underscore_matches_one_character_not_one_byte() {
+        assert!(like_match("é", "_"));
+        assert!(!like_match("é", "__"));
+        assert!(like_match("aéb", "a_b"));
+        assert!(like_match("éé", "%_"));
+        assert!(!like_match("é", "e"));
+    }
+
+    #[test]
+    fn like_pathological_pattern_finishes_quickly() {
+        // Backtracking over every split point of every `%` needs about
+        // C(40, 10) steps here; the linear-backtrack matcher needs ~800.
+        let s = "a".repeat(40);
+        let started = std::time::Instant::now();
+        assert!(!like_match(&s, "%a%a%a%a%a%a%a%a%a%ab"));
+        assert!(like_match(&s, "%a%a%a%a%a%a%a%a%a%a"));
+        assert!(started.elapsed() < std::time::Duration::from_secs(1));
     }
 
     #[test]

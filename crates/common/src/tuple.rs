@@ -1,29 +1,36 @@
 //! Row representation.
 //!
-//! Tuples are plain vectors of [`Value`]s. The engine moves tuples between
-//! operators in *vectors* (batches) following the vectorised execution model
-//! referenced in Section 3.2 of the paper; the batch container lives in
-//! `shareddb-core`, this module only defines the per-row type.
+//! A [`Tuple`] is an immutable, reference-counted row of [`Value`]s. Cloning
+//! one bumps a reference count, so the shared plan hands the same row from a
+//! scan through every operator and out to every subscribed query without
+//! copying it; the only writer, [`Tuple::values_mut`], copies on write. The
+//! engine moves tuples between operators in *vectors* (batches) following the
+//! vectorised execution model referenced in Section 3.2 of the paper; the
+//! batch container lives in `shareddb-core`, this module only defines the
+//! per-row type.
 
 use crate::value::Value;
 use std::fmt;
 use std::ops::Index;
+use std::sync::Arc;
 
-/// A single row of values.
+/// A single row of values, shared between its holders.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct Tuple {
-    values: Vec<Value>,
+    values: Arc<[Value]>,
 }
 
 impl Tuple {
     /// Creates a tuple from a vector of values.
     pub fn new(values: Vec<Value>) -> Self {
-        Tuple { values }
+        Tuple {
+            values: values.into(),
+        }
     }
 
     /// Creates an empty tuple.
     pub fn empty() -> Self {
-        Tuple { values: Vec::new() }
+        Tuple::default()
     }
 
     /// Number of values.
@@ -41,14 +48,15 @@ impl Tuple {
         &self.values
     }
 
-    /// Mutable access to the values (used by updates in the storage layer).
+    /// Mutable access to the values. Copy-on-write: when the row is shared,
+    /// this tuple first gets its own copy, so no other holder sees the edit.
     pub fn values_mut(&mut self) -> &mut [Value] {
-        &mut self.values
+        Arc::make_mut(&mut self.values)
     }
 
-    /// Consumes the tuple and returns the underlying vector.
+    /// Returns the values as an owned vector (a copy of the shared row).
     pub fn into_values(self) -> Vec<Value> {
-        self.values
+        self.values.to_vec()
     }
 
     /// Returns the value at `idx`, if present.
@@ -58,22 +66,25 @@ impl Tuple {
 
     /// Concatenates two tuples (the output of a join).
     pub fn concat(&self, other: &Tuple) -> Tuple {
-        let mut values = Vec::with_capacity(self.len() + other.len());
-        values.extend_from_slice(&self.values);
-        values.extend_from_slice(&other.values);
-        Tuple { values }
+        self.values
+            .iter()
+            .chain(other.values.iter())
+            .cloned()
+            .collect()
     }
 
     /// Returns a tuple consisting of the selected column indices.
     pub fn project(&self, indices: &[usize]) -> Tuple {
-        Tuple {
-            values: indices.iter().map(|&i| self.values[i].clone()).collect(),
-        }
+        indices.iter().map(|&i| self.values[i].clone()).collect()
     }
 
-    /// Approximate heap footprint in bytes (used by memory accounting).
+    /// Approximate heap footprint in bytes (used by memory accounting): the
+    /// shared allocation, reference counts included, plus the values' own
+    /// heap data. Every holder of a shared row counts the whole row, so a sum
+    /// over holders overstates the memory of rows held more than once.
     pub fn heap_size(&self) -> usize {
-        self.values.capacity() * std::mem::size_of::<Value>()
+        2 * std::mem::size_of::<usize>()
+            + self.values.len() * std::mem::size_of::<Value>()
             + self.values.iter().map(Value::heap_size).sum::<usize>()
     }
 }
@@ -91,9 +102,17 @@ impl From<Vec<Value>> for Tuple {
     }
 }
 
+impl From<Arc<[Value]>> for Tuple {
+    fn from(values: Arc<[Value]>) -> Self {
+        Tuple { values }
+    }
+}
+
 impl FromIterator<Value> for Tuple {
     fn from_iter<T: IntoIterator<Item = Value>>(iter: T) -> Self {
-        Tuple::new(iter.into_iter().collect())
+        Tuple {
+            values: iter.into_iter().collect(),
+        }
     }
 }
 
@@ -110,7 +129,8 @@ impl fmt::Display for Tuple {
     }
 }
 
-/// Builds a [`Tuple`] from a heterogeneous list of values.
+/// Builds a [`Tuple`] from a heterogeneous list of values, straight into the
+/// row's shared allocation.
 ///
 /// ```
 /// use shareddb_common::{tuple, Value};
@@ -120,7 +140,9 @@ impl fmt::Display for Tuple {
 #[macro_export]
 macro_rules! tuple {
     ($($v:expr),* $(,)?) => {
-        $crate::Tuple::new(vec![$($crate::Value::from($v)),*])
+        $crate::Tuple::from(::std::sync::Arc::<[$crate::Value]>::from([
+            $($crate::Value::from($v)),*
+        ]))
     };
 }
 
@@ -167,6 +189,15 @@ mod tests {
     fn from_iterator() {
         let t: Tuple = (0..3).map(Value::from).collect();
         assert_eq!(t.len(), 3);
+    }
+
+    #[test]
+    fn values_mut_on_a_clone_leaves_the_original_unchanged() {
+        let original = tuple![1i64, "shared"];
+        let mut copy = original.clone();
+        copy.values_mut()[1] = Value::text("edited");
+        assert_eq!(original, tuple![1i64, "shared"]);
+        assert_eq!(copy, tuple![1i64, "edited"]);
     }
 
     #[test]

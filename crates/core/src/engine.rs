@@ -850,17 +850,17 @@ fn operator_loop(
             OperatorMessage::Shutdown => break,
         };
         // Gather the inputs of this batch first (waiting does not consume a
-        // core), then acquire a core permit for the actual processing.
-        let mut inputs: Vec<Vec<QTuple>> = Vec::with_capacity(task.inputs.len());
+        // core), then acquire a core permit for the actual processing. Each
+        // input is the producer's shared output, read in place.
+        let mut received: Vec<TaskData> = Vec::with_capacity(task.inputs.len());
         let mut input_failed = false;
         for rx in &task.inputs {
             match rx.recv() {
-                Ok(data) => inputs.push(data.as_ref().clone()),
+                Ok(data) => received.push(data),
                 Err(_) => {
-                    // The producer failed; propagate an empty input. The
-                    // producer's error is reported through its own done
-                    // message and fails the batch at the coordinator.
-                    inputs.push(Vec::new());
+                    // The producer failed; the producer's error is reported
+                    // through its own done message and fails the batch at
+                    // the coordinator.
                     input_failed = true;
                 }
             }
@@ -878,7 +878,8 @@ fn operator_loop(
                 catalog: &catalog,
                 snapshot: task.snapshot,
             };
-            execute_operator(&node.spec, &task.activations, inputs, &ctx)
+            let inputs: Vec<&[QTuple]> = received.iter().map(|data| data.as_slice()).collect();
+            execute_operator(&node.spec, &task.activations, &inputs, &ctx)
         };
         let busy = started.elapsed();
         drop(permit);
@@ -951,13 +952,13 @@ fn segment_worker_loop(
             let result = if let Some(storage) = &storage_ops[node.id] {
                 storage.execute(activations)
             } else {
-                let inputs: Vec<Vec<QTuple>> =
-                    node.inputs.iter().map(|i| outputs[*i].clone()).collect();
+                let inputs: Vec<&[QTuple]> =
+                    node.inputs.iter().map(|i| outputs[*i].as_slice()).collect();
                 let ctx = ExecContext {
                     catalog: &catalog,
                     snapshot: job.snapshot,
                 };
-                execute_operator(&node.spec, activations, inputs, &ctx)
+                execute_operator(&node.spec, activations, &inputs, &ctx)
             };
             match result {
                 Ok(tuples) => {

@@ -7,7 +7,9 @@
 //!
 //! Operators are implemented as pure functions over `(activations, inputs)` so
 //! they can be unit-tested without threads. The engine wraps them in operator
-//! threads (see [`crate::engine`]).
+//! threads (see [`crate::engine`]). Inputs are borrowed: every consumer of a
+//! producer reads the producer's one output vector, and the rows it keeps are
+//! reference-counted [`Tuple`]s, so passing a row on copies no values.
 //!
 //! The unifying rule (Section 3.3/3.4): each operator restricts incoming
 //! tuples to the queries *activated at this operator* in the current batch,
@@ -42,7 +44,7 @@ pub struct ExecContext<'a> {
 pub fn execute_operator(
     spec: &OperatorSpec,
     activations: &[(QueryId, Activation)],
-    inputs: Vec<Vec<QTuple>>,
+    inputs: &[&[QTuple]],
     ctx: &ExecContext<'_>,
 ) -> Result<Vec<QTuple>> {
     match spec {
@@ -54,15 +56,11 @@ pub fn execute_operator(
             build_key,
             probe_key,
         } => {
-            let mut inputs = inputs.into_iter();
-            let build = inputs.next().unwrap_or_default();
-            let probe = inputs.next().unwrap_or_default();
+            let (build, probe) = two_inputs(inputs);
             execute_hash_join(activations, build, probe, *build_key, *probe_key)
         }
         OperatorSpec::NestedLoopJoin => {
-            let mut inputs = inputs.into_iter();
-            let build = inputs.next().unwrap_or_default();
-            let probe = inputs.next().unwrap_or_default();
+            let (build, probe) = two_inputs(inputs);
             execute_nested_loop_join(activations, build, probe)
         }
         OperatorSpec::IndexNlJoin {
@@ -88,14 +86,20 @@ pub fn execute_operator(
     }
 }
 
-fn one_input(mut inputs: Vec<Vec<QTuple>>) -> Result<Vec<QTuple>> {
-    if inputs.len() != 1 {
-        return Err(Error::Internal(format!(
+fn one_input<'a>(inputs: &[&'a [QTuple]]) -> Result<&'a [QTuple]> {
+    match inputs {
+        [input] => Ok(input),
+        _ => Err(Error::Internal(format!(
             "operator expected exactly one input, got {}",
             inputs.len()
-        )));
+        ))),
     }
-    Ok(inputs.remove(0))
+}
+
+/// The build and probe inputs of a join; a missing input is empty.
+fn two_inputs<'a>(inputs: &[&'a [QTuple]]) -> (&'a [QTuple], &'a [QTuple]) {
+    let input = |i: usize| inputs.get(i).copied().unwrap_or_default();
+    (input(0), input(1))
 }
 
 /// The set of queries activated at this operator in the current batch.
@@ -118,10 +122,7 @@ fn restrict(tuple: &QTuple, active: &QuerySet) -> Option<QTuple> {
 // Filter
 // ---------------------------------------------------------------------------
 
-fn execute_filter(
-    activations: &[(QueryId, Activation)],
-    input: Vec<QTuple>,
-) -> Result<Vec<QTuple>> {
+fn execute_filter(activations: &[(QueryId, Activation)], input: &[QTuple]) -> Result<Vec<QTuple>> {
     let active = active_set(activations);
     // query -> residual predicate
     let mut predicates: HashMap<QueryId, &Expr> = HashMap::new();
@@ -131,7 +132,7 @@ fn execute_filter(
         }
     }
     let mut out = Vec::new();
-    for tuple in &input {
+    for tuple in input {
         let Some(restricted) = restrict(tuple, &active) else {
             continue;
         };
@@ -163,15 +164,15 @@ fn execute_filter(
 
 fn execute_hash_join(
     activations: &[(QueryId, Activation)],
-    build: Vec<QTuple>,
-    probe: Vec<QTuple>,
+    build: &[QTuple],
+    probe: &[QTuple],
     build_key: usize,
     probe_key: usize,
 ) -> Result<Vec<QTuple>> {
     let active = active_set(activations);
     // Build phase: hash the (restricted) build side on its join key.
     let mut table: HashMap<Value, Vec<QTuple>> = HashMap::new();
-    for tuple in &build {
+    for tuple in build {
         if let Some(restricted) = restrict(tuple, &active) {
             let key = restricted.tuple[build_key].clone();
             if key.is_null() {
@@ -183,7 +184,7 @@ fn execute_hash_join(
     // Probe phase: the effective join predicate is
     // `build_key = probe_key AND build.query_id ∩ probe.query_id ≠ ∅`.
     let mut out = Vec::new();
-    for tuple in &probe {
+    for tuple in probe {
         let Some(restricted) = restrict(tuple, &active) else {
             continue;
         };
@@ -214,8 +215,8 @@ const NL_BLOCK: usize = 256;
 
 fn execute_nested_loop_join(
     activations: &[(QueryId, Activation)],
-    build: Vec<QTuple>,
-    probe: Vec<QTuple>,
+    build: &[QTuple],
+    probe: &[QTuple],
 ) -> Result<Vec<QTuple>> {
     let active = active_set(activations);
     // Restrict both sides once; the pairing below only has to intersect the
@@ -242,7 +243,7 @@ fn execute_nested_loop_join(
 
 fn execute_index_nl_join(
     activations: &[(QueryId, Activation)],
-    outer: Vec<QTuple>,
+    outer: &[QTuple],
     table: &str,
     outer_key: usize,
     inner_column: usize,
@@ -252,7 +253,7 @@ fn execute_index_nl_join(
     let handle = ctx.catalog.table(table)?;
     let inner = handle.read();
     let mut out = Vec::new();
-    for tuple in &outer {
+    for tuple in outer {
         let Some(restricted) = restrict(tuple, &active) else {
             continue;
         };
@@ -260,14 +261,9 @@ fn execute_index_nl_join(
         if key.is_null() {
             continue;
         }
-        let matches: Vec<Tuple> = inner
-            .lookup_eq(inner_column, key, ctx.snapshot)
-            .into_iter()
-            .map(|(_, row)| row.clone())
-            .collect();
-        for inner_row in matches {
+        for (_, inner_row) in inner.lookup_eq(inner_column, key, ctx.snapshot) {
             out.push(QTuple::new(
-                restricted.tuple.concat(&inner_row),
+                restricted.tuple.concat(inner_row),
                 restricted.queries.clone(),
             ));
         }
@@ -281,7 +277,7 @@ fn execute_index_nl_join(
 
 fn execute_sort(
     activations: &[(QueryId, Activation)],
-    input: Vec<QTuple>,
+    input: &[QTuple],
     keys: &[SortKey],
 ) -> Result<Vec<QTuple>> {
     let active = active_set(activations);
@@ -298,7 +294,7 @@ fn execute_sort(
 /// union of the selections is sorted and emitted.
 fn execute_top_n(
     activations: &[(QueryId, Activation)],
-    mut input: Vec<QTuple>,
+    input: &[QTuple],
     keys: &[SortKey],
 ) -> Result<Vec<QTuple>> {
     let active = active_set(activations);
@@ -337,12 +333,7 @@ fn execute_top_n(
     selected.sort_by(|(a, _), (b, _)| order(a, b));
     Ok(selected
         .into_iter()
-        .map(|(position, queries)| {
-            QTuple::new(
-                std::mem::replace(&mut input[position].tuple, Tuple::empty()),
-                queries,
-            )
-        })
+        .map(|(position, queries)| QTuple::new(input[position].tuple.clone(), queries))
         .collect())
 }
 
@@ -352,7 +343,7 @@ fn execute_top_n(
 
 fn execute_group_by(
     activations: &[(QueryId, Activation)],
-    input: Vec<QTuple>,
+    input: &[QTuple],
     group_columns: &[usize],
     aggregates: &[AggregateSpec],
 ) -> Result<Vec<QTuple>> {
@@ -378,7 +369,7 @@ fn execute_group_by(
         per_query: HashMap<QueryId, Vec<Accumulator>>,
     }
     let mut groups: HashMap<Vec<Value>, GroupState> = HashMap::new();
-    for tuple in &input {
+    for tuple in input {
         let Some(restricted) = restrict(tuple, &active) else {
             continue;
         };
@@ -457,12 +448,12 @@ fn execute_group_by(
 
 fn execute_distinct(
     activations: &[(QueryId, Activation)],
-    input: Vec<QTuple>,
+    input: &[QTuple],
 ) -> Result<Vec<QTuple>> {
     let active = active_set(activations);
     let mut seen: HashMap<Tuple, QuerySet> = HashMap::new();
     let mut order: Vec<Tuple> = Vec::new();
-    for tuple in &input {
+    for tuple in input {
         let Some(restricted) = restrict(tuple, &active) else {
             continue;
         };
@@ -485,12 +476,12 @@ fn execute_distinct(
 
 fn execute_union(
     activations: &[(QueryId, Activation)],
-    inputs: Vec<Vec<QTuple>>,
+    inputs: &[&[QTuple]],
 ) -> Result<Vec<QTuple>> {
     let active = active_set(activations);
     let mut out = Vec::new();
     for input in inputs {
-        for tuple in &input {
+        for tuple in *input {
             if let Some(restricted) = restrict(tuple, &active) {
                 out.push(restricted);
             }
@@ -548,7 +539,7 @@ mod tests {
         let out = execute_operator(
             &OperatorSpec::Filter,
             &activations,
-            vec![input],
+            &[&input],
             &ctx(&catalog),
         )
         .unwrap();
@@ -580,7 +571,7 @@ mod tests {
                 probe_key: 0,
             },
             &participate(&[1, 2]),
-            vec![build, probe],
+            &[&build, &probe],
             &ctx(&catalog),
         )
         .unwrap();
@@ -606,7 +597,7 @@ mod tests {
                 probe_key: 0,
             },
             &participate(&[1]),
-            vec![build, probe],
+            &[&build, &probe],
             &ctx(&catalog),
         )
         .unwrap();
@@ -627,7 +618,7 @@ mod tests {
         let out = execute_operator(
             &OperatorSpec::NestedLoopJoin,
             &participate(&[1, 2]),
-            vec![build, probe],
+            &[&build, &probe],
             &ctx(&catalog),
         )
         .unwrap();
@@ -655,7 +646,7 @@ mod tests {
         let out = execute_operator(
             &OperatorSpec::NestedLoopJoin,
             &participate(&[1]),
-            vec![build, probe],
+            &[&build, &probe],
             &ctx(&catalog),
         )
         .unwrap();
@@ -689,7 +680,7 @@ mod tests {
                 partial: true,
             },
         )];
-        let out = execute_operator(&spec, &partial, vec![input.clone()], &ctx(&catalog)).unwrap();
+        let out = execute_operator(&spec, &partial, &[&input], &ctx(&catalog)).unwrap();
         assert_eq!(out.len(), 2, "partial mode filtered partial groups");
         // The same activation without partial mode filters as usual.
         let final_mode = vec![(
@@ -699,7 +690,7 @@ mod tests {
                 partial: false,
             },
         )];
-        let out = execute_operator(&spec, &final_mode, vec![input], &ctx(&catalog)).unwrap();
+        let out = execute_operator(&spec, &final_mode, &[&input], &ctx(&catalog)).unwrap();
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].tuple[0], Value::text("DE"));
     }
@@ -734,7 +725,7 @@ mod tests {
                 inner_column: 0,
             },
             &participate(&[1, 2]),
-            vec![outer],
+            &[&outer],
             &ctx(&catalog),
         )
         .unwrap();
@@ -760,7 +751,7 @@ mod tests {
                 keys: vec![SortKey::asc(2)],
             },
             &participate(&[1, 2]),
-            vec![input],
+            &[&input],
             &ctx(&catalog),
         )
         .unwrap();
@@ -795,7 +786,7 @@ mod tests {
                 keys: vec![SortKey::desc(0)],
             },
             &activations,
-            vec![input],
+            &[&input],
             &ctx(&catalog),
         )
         .unwrap();
@@ -837,7 +828,7 @@ mod tests {
         let out = execute_operator(
             &OperatorSpec::TopN { keys: keys.clone() },
             &activations,
-            vec![input.clone()],
+            &[&input],
             &ctx(&catalog),
         )
         .unwrap();
@@ -903,7 +894,7 @@ mod tests {
                 },
             ),
         ];
-        let out = execute_operator(&spec, &activations, vec![input], &ctx(&catalog)).unwrap();
+        let out = execute_operator(&spec, &activations, &[&input], &ctx(&catalog)).unwrap();
         // Query 1: CH -> 300 (2 rows), DE -> 300 (1 row).
         // Query 2: CH -> 100 (fails HAVING), DE -> 700 (passes).
         let find = |q: u32, country: &str| {
@@ -958,7 +949,7 @@ mod tests {
                 },
             ),
         ];
-        let out = execute_operator(&spec, &activations, vec![input], &ctx(&catalog)).unwrap();
+        let out = execute_operator(&spec, &activations, &[&input], &ctx(&catalog)).unwrap();
         let row = |q: u32| out.iter().find(|t| t.queries.contains(QueryId(q))).unwrap();
         // Partial query: [key, partial AVG sum, SUM, hidden AVG count].
         let partial = row(1);
@@ -985,7 +976,7 @@ mod tests {
         let out = execute_operator(
             &OperatorSpec::Distinct,
             &participate(&[1, 2]),
-            vec![input],
+            &[&input],
             &ctx(&catalog),
         )
         .unwrap();
@@ -1003,7 +994,7 @@ mod tests {
         let out = execute_operator(
             &OperatorSpec::Union,
             &participate(&[1]),
-            vec![a, b],
+            &[&a, &b],
             &ctx(&catalog),
         )
         .unwrap();
@@ -1017,7 +1008,7 @@ mod tests {
         let err = execute_operator(
             &OperatorSpec::TableScan { table: "X".into() },
             &[],
-            vec![],
+            &[],
             &ctx(&catalog),
         )
         .unwrap_err();
@@ -1027,12 +1018,6 @@ mod tests {
     #[test]
     fn wrong_input_arity_is_an_error() {
         let catalog = Catalog::new();
-        assert!(execute_operator(
-            &OperatorSpec::Filter,
-            &[],
-            vec![vec![], vec![]],
-            &ctx(&catalog)
-        )
-        .is_err());
+        assert!(execute_operator(&OperatorSpec::Filter, &[], &[&[], &[]], &ctx(&catalog)).is_err());
     }
 }

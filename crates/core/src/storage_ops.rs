@@ -88,9 +88,7 @@ impl StorageOperator {
                 // becomes a segment-view cursor — rows outside the segment
                 // are skipped before the predicate index evaluates them.
                 let view = uniform_view(&segmented, activations.len(), key_columns);
-                let mut tuples = scan
-                    .execute_batch_segmented(&queries, &[], view.as_ref())?
-                    .tuples;
+                let mut tuples = scan.execute_batch_segmented(&queries, view.as_ref())?;
                 // Partitioned (and mixed-segment) activations only subscribe
                 // to their slice of the table: unsubscribe them from
                 // out-of-slice rows and drop tuples no query is interested in
@@ -143,7 +141,7 @@ impl StorageOperator {
                         ))),
                     })
                     .collect::<Result<_>>()?;
-                Ok(probe.execute_batch(&queries, &[])?.tuples)
+                probe.execute_batch(&queries)
             }
         }
     }

@@ -5,10 +5,9 @@
 //! on the same [`Catalog`] so that performance comparisons run against the
 //! identical data structures.
 
-use crate::clockscan::apply_update;
 use crate::mvcc::TimestampOracle;
 use crate::table::Table;
-use crate::update::UpdateOp;
+use crate::update::{apply_update, UpdateOp};
 use crate::wal::{
     committed_ops, encode_frame, scan_frames, FileSink, LogRecord, TornTail, Wal, WalSink as _,
 };

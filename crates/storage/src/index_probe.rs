@@ -7,19 +7,18 @@
 //! updates are executed in the arrival order and multiple B-tree look-ups are
 //! used to evaluate all the select queries. [...] Just as the (shared) full
 //! table scan, the index probe operator guarantees that all select queries
-//! will read a consistent snapshot."
+//! will read a consistent snapshot." Here the engine forms the batch and
+//! applies its updates through [`crate::Catalog::apply_batch`]; the probe
+//! runs the batch's look-ups against one snapshot that includes them.
 //!
 //! Executing many look-ups per cycle gives the instruction- and data-cache
 //! locality benefits of batched information filters (Fischer & Kossmann,
 //! ICDE 2005 — reference [12] of the paper).
 
-use crate::clockscan::apply_update;
 use crate::mvcc::TimestampOracle;
 use crate::table::{RowId, Table};
-use crate::update::{UpdateOp, UpdateResult};
-use parking_lot::{Mutex, RwLock};
-use shareddb_common::{Expr, QTuple, QueryId, QuerySet, Result, Schema, Tuple, Value};
-use std::collections::VecDeque;
+use parking_lot::RwLock;
+use shareddb_common::{Expr, QTuple, QueryId, QuerySet, Result, Tuple, Value};
 use std::ops::Bound;
 use std::sync::Arc;
 
@@ -74,7 +73,7 @@ pub struct ProbeQuery {
     pub range: ProbeRange,
     /// Optional residual predicate evaluated on the fetched rows.
     pub residual: Option<Expr>,
-    /// Optional pinned read snapshot (`None` = the cycle's own snapshot; see
+    /// Optional pinned read snapshot (`None` = the batch's own snapshot; see
     /// [`crate::clockscan::ScanQuery::snapshot`]).
     pub snapshot: Option<crate::mvcc::Snapshot>,
 }
@@ -115,24 +114,10 @@ impl ProbeQuery {
     }
 }
 
-/// Result of one index-probe cycle.
-#[derive(Debug, Default)]
-pub struct ProbeCycleResult {
-    /// Fetched rows, annotated with the queries that selected them. Rows
-    /// fetched by several probes of the batch are emitted once (NF² sharing).
-    pub tuples: Vec<QTuple>,
-    /// Per-update results, in arrival order.
-    pub update_results: Vec<UpdateResult>,
-    /// Ids of the queries served by this cycle.
-    pub served_queries: Vec<QueryId>,
-}
-
 /// The shared index-probe operator for one table.
 pub struct IndexProbe {
     table: Arc<RwLock<Table>>,
     oracle: Arc<TimestampOracle>,
-    pending_queries: Mutex<VecDeque<ProbeQuery>>,
-    pending_updates: Mutex<VecDeque<UpdateOp>>,
 }
 
 impl IndexProbe {
@@ -141,241 +126,199 @@ impl IndexProbe {
     /// falls back to a (correct but slow) scan of the table. Probes follow
     /// SQL comparison ([`Table::lookup_eq`], [`Table::lookup_range`]).
     pub fn new(table: Arc<RwLock<Table>>, oracle: Arc<TimestampOracle>) -> Self {
-        IndexProbe {
-            table,
-            oracle,
-            pending_queries: Mutex::new(VecDeque::new()),
-            pending_updates: Mutex::new(VecDeque::new()),
-        }
+        IndexProbe { table, oracle }
     }
 
-    /// Schema of the probed table.
-    pub fn schema(&self) -> Schema {
-        self.table.read().schema().clone()
-    }
-
-    /// Queues a probe for the next cycle.
-    pub fn enqueue_query(&self, query: ProbeQuery) {
-        self.pending_queries.lock().push_back(query);
-    }
-
-    /// Queues an update for the next cycle.
-    pub fn enqueue_update(&self, update: UpdateOp) {
-        self.pending_updates.lock().push_back(update);
-    }
-
-    /// Number of probes waiting for the next cycle.
-    pub fn pending_query_count(&self) -> usize {
-        self.pending_queries.lock().len()
-    }
-
-    /// Runs one cycle: applies pending updates in arrival order, then executes
-    /// all pending look-ups against one consistent snapshot.
-    pub fn run_cycle(&self) -> Result<ProbeCycleResult> {
-        let queries: Vec<ProbeQuery> = self.pending_queries.lock().drain(..).collect();
-        let updates: Vec<UpdateOp> = self.pending_updates.lock().drain(..).collect();
-        self.execute_batch(&queries, &updates)
-    }
-
-    /// Executes an explicit batch of probes and updates.
-    pub fn execute_batch(
-        &self,
-        queries: &[ProbeQuery],
-        updates: &[UpdateOp],
-    ) -> Result<ProbeCycleResult> {
-        let mut result = ProbeCycleResult::default();
-
-        if !updates.is_empty() {
-            let commit_ts = self.oracle.next_commit_ts();
-            let mut table = self.table.write();
-            for update in updates {
-                let applied = apply_update(&mut table, update, commit_ts)?;
-                result.update_results.push(applied);
-            }
-            drop(table);
-            self.oracle.publish(commit_ts);
-        }
-
-        let default_snapshot = self.oracle.read_ts();
-        result.served_queries = queries.iter().map(|q| q.query_id).collect();
+    /// Executes a batch of look-ups against one consistent snapshot (pinned
+    /// probes read their own) and returns the fetched rows, each annotated
+    /// with the probes that selected it. Rows fetched by several probes of
+    /// the batch are emitted once (NF² sharing), in version order.
+    pub fn execute_batch(&self, queries: &[ProbeQuery]) -> Result<Vec<QTuple>> {
+        let mut tuples = Vec::new();
         if queries.is_empty() {
-            return Ok(result);
+            return Ok(tuples);
         }
-
-        // Group probes by their effective snapshot (pinned probes read their
-        // own version set); within each group the fetched rows deduplicate as
-        // before.
-        let groups = crate::mvcc::group_by_snapshot(queries, default_snapshot, |q| q.snapshot);
+        let groups = crate::mvcc::group_by_snapshot(queries, self.oracle.read_ts(), |q| q.snapshot);
         let table = self.table.read();
         for (snapshot, members) in groups {
-            self.probe_group(&table, snapshot, &members, &mut result)?;
+            probe_group(&table, snapshot, &members, &mut tuples)?;
         }
-        Ok(result)
+        Ok(tuples)
     }
+}
 
-    /// Executes one snapshot group of probes: every look-up reads `snapshot`,
-    /// and rows fetched by several probes of the group are emitted once.
-    fn probe_group(
-        &self,
-        table: &Table,
-        snapshot: crate::mvcc::Snapshot,
-        queries: &[&ProbeQuery],
-        result: &mut ProbeCycleResult,
-    ) -> Result<()> {
-        // Deduplicate fetched rows across all probes of the batch: the NF²
-        // data-query model stores each row once with the union of interested
-        // queries, emitted in version order.
-        let mut hits: Vec<(RowId, QueryId, &Tuple)> = Vec::new();
-        for q in queries {
-            let rows = match &q.range {
-                ProbeRange::Key(key) => table.lookup_eq(q.column, key, snapshot),
-                ProbeRange::Range { low, high } => {
-                    table.lookup_range(q.column, low.as_ref(), high.as_ref(), snapshot)
-                }
-            };
-            for (rid, row) in rows {
-                if let Some(residual) = &q.residual {
-                    if !residual.eval_predicate(row)? {
-                        continue;
-                    }
-                }
-                hits.push((rid, q.query_id, row));
+/// Executes one snapshot group of probes: every look-up reads `snapshot`,
+/// and rows fetched by several probes of the group are emitted once.
+fn probe_group(
+    table: &Table,
+    snapshot: crate::mvcc::Snapshot,
+    queries: &[&ProbeQuery],
+    tuples: &mut Vec<QTuple>,
+) -> Result<()> {
+    // Deduplicate fetched rows across all probes of the batch: the NF²
+    // data-query model stores each row once with the union of interested
+    // queries, emitted in version order.
+    let mut hits: Vec<(RowId, QueryId, &Tuple)> = Vec::new();
+    for q in queries {
+        let rows = match &q.range {
+            ProbeRange::Key(key) => table.lookup_eq(q.column, key, snapshot),
+            ProbeRange::Range { low, high } => {
+                table.lookup_range(q.column, low.as_ref(), high.as_ref(), snapshot)
             }
+        };
+        for (rid, row) in rows {
+            if let Some(residual) = &q.residual {
+                if !residual.eval_predicate(row)? {
+                    continue;
+                }
+            }
+            hits.push((rid, q.query_id, row));
         }
-        hits.sort_unstable_by_key(|(rid, q, _)| (*rid, *q));
-        for group in hits.chunk_by(|a, b| a.0 == b.0) {
-            let queries = QuerySet::from_ids(group.iter().map(|(_, q, _)| *q));
-            result.tuples.push(QTuple::new(group[0].2.clone(), queries));
-        }
-        Ok(())
     }
+    hits.sort_unstable_by_key(|(rid, q, _)| (*rid, *q));
+    for group in hits.chunk_by(|a, b| a.0 == b.0) {
+        let queries = QuerySet::from_ids(group.iter().map(|(_, q, _)| *q));
+        tuples.push(QTuple::new(group[0].2.clone(), queries));
+    }
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use shareddb_common::{tuple, Column, DataType};
+    use crate::catalog::{Catalog, IndexDef, TableDef};
+    use crate::update::UpdateOp;
+    use shareddb_common::{tuple, DataType};
 
-    fn setup() -> (Arc<RwLock<Table>>, Arc<TimestampOracle>, IndexProbe) {
-        let schema = Schema::new(vec![
-            Column::new("ID", DataType::Int).with_qualifier("T"),
-            Column::new("NAME", DataType::Text).with_qualifier("T"),
-            Column::new("QTY", DataType::Int).with_qualifier("T"),
-        ]);
-        let mut t = Table::new("T", schema, vec![0]);
-        t.create_index("T_ID", 0).unwrap();
-        t.create_index("T_QTY", 2).unwrap();
-        for i in 0..200i64 {
-            t.insert(
-                tuple![i, format!("row{i}"), i % 20],
-                shareddb_common::ids::Timestamp(0),
+    /// 200 rows `(ID, "row{ID}", ID % 20)` with indexes on ID and QTY.
+    fn setup() -> (Catalog, IndexProbe) {
+        let catalog = Catalog::new();
+        catalog
+            .create_table(
+                TableDef::new("T")
+                    .column("ID", DataType::Int)
+                    .column("NAME", DataType::Text)
+                    .column("QTY", DataType::Int)
+                    .primary_key(&["ID"]),
             )
             .unwrap();
+        for (name, column) in [("T_ID", "ID"), ("T_QTY", "QTY")] {
+            catalog
+                .create_index(IndexDef {
+                    name: name.into(),
+                    table: "T".into(),
+                    column: column.into(),
+                })
+                .unwrap();
         }
-        let table = Arc::new(RwLock::new(t));
-        let oracle = Arc::new(TimestampOracle::new());
-        let probe = IndexProbe::new(Arc::clone(&table), Arc::clone(&oracle));
-        (table, oracle, probe)
+        catalog
+            .bulk_load(
+                "T",
+                (0..200i64)
+                    .map(|i| tuple![i, format!("row{i}"), i % 20])
+                    .collect(),
+            )
+            .unwrap();
+        let probe = IndexProbe::new(catalog.table("T").unwrap(), catalog.oracle());
+        (catalog, probe)
     }
 
     #[test]
     fn batched_point_lookups_share_rows() {
-        let (_, _, probe) = setup();
+        let (_catalog, probe) = setup();
         // Three queries, two of which ask for the same key.
-        probe.enqueue_query(ProbeQuery::key(QueryId(1), 0, Value::Int(5)));
-        probe.enqueue_query(ProbeQuery::key(QueryId(2), 0, Value::Int(5)));
-        probe.enqueue_query(ProbeQuery::key(QueryId(3), 0, Value::Int(7)));
-        let res = probe.run_cycle().unwrap();
-        assert_eq!(res.served_queries.len(), 3);
-        // Row 5 appears once, subscribed by queries 1 and 2.
-        assert_eq!(res.tuples.len(), 2);
-        let row5 = res
-            .tuples
-            .iter()
-            .find(|t| t.tuple[0] == Value::Int(5))
+        let tuples = probe
+            .execute_batch(&[
+                ProbeQuery::key(QueryId(1), 0, Value::Int(5)),
+                ProbeQuery::key(QueryId(2), 0, Value::Int(5)),
+                ProbeQuery::key(QueryId(3), 0, Value::Int(7)),
+            ])
             .unwrap();
+        // Row 5 appears once, subscribed by queries 1 and 2.
+        assert_eq!(tuples.len(), 2);
+        let row5 = tuples.iter().find(|t| t.tuple[0] == Value::Int(5)).unwrap();
         assert_eq!(row5.queries.len(), 2);
     }
 
     #[test]
     fn range_probe_and_residual() {
-        let (_, _, probe) = setup();
-        probe.enqueue_query(
-            ProbeQuery::range(
+        let (_catalog, probe) = setup();
+        let tuples = probe
+            .execute_batch(&[ProbeQuery::range(
                 QueryId(1),
                 2,
                 ProbeRange::between(Value::Int(18), Value::Int(19)),
             )
-            .with_residual(Expr::col(0).lt(Expr::lit(100i64))),
-        );
-        let res = probe.run_cycle().unwrap();
+            .with_residual(Expr::col(0).lt(Expr::lit(100i64)))])
+            .unwrap();
         // QTY in {18, 19} occurs for 20 rows; residual keeps ids < 100 → 10.
-        assert_eq!(res.tuples.len(), 10);
-        assert!(res
-            .tuples
+        assert_eq!(tuples.len(), 10);
+        assert!(tuples
             .iter()
             .all(|t| t.tuple[2] >= Value::Int(18) && t.tuple[0] < Value::Int(100)));
     }
 
+    /// Look-ups read a snapshot that includes the updates applied before
+    /// them: an UPDATE's new value, and no row a DELETE removed.
     #[test]
-    fn updates_run_before_lookups() {
-        let (_, _, probe) = setup();
-        probe.enqueue_update(UpdateOp::Update {
-            assignments: vec![(2, Expr::lit(999i64))],
-            predicate: Expr::col(0).eq(Expr::lit(3i64)),
-        });
-        probe.enqueue_query(ProbeQuery::key(QueryId(1), 0, Value::Int(3)));
-        let res = probe.run_cycle().unwrap();
-        assert_eq!(res.update_results[0].rows_affected, 1);
-        assert_eq!(res.tuples.len(), 1);
-        assert_eq!(res.tuples[0].tuple[2], Value::Int(999));
+    fn lookups_see_updates_applied_before_them() {
+        let (catalog, probe) = setup();
+        let results = catalog
+            .apply_batch(&[
+                (
+                    "T".into(),
+                    UpdateOp::Update {
+                        assignments: vec![(2, Expr::lit(999i64))],
+                        predicate: Expr::col(0).eq(Expr::lit(3i64)),
+                    },
+                ),
+                (
+                    "T".into(),
+                    UpdateOp::Delete {
+                        predicate: Expr::col(0).eq(Expr::lit(10i64)),
+                    },
+                ),
+            ])
+            .unwrap();
+        assert_eq!(results[0].rows_affected, 1);
+        assert_eq!(results[1].rows_affected, 1);
+        let tuples = probe
+            .execute_batch(&[
+                ProbeQuery::key(QueryId(1), 0, Value::Int(3)),
+                ProbeQuery::key(QueryId(2), 0, Value::Int(10)),
+            ])
+            .unwrap();
+        assert_eq!(tuples.len(), 1);
+        assert_eq!(tuples[0].tuple[2], Value::Int(999));
+        assert!(tuples[0].queries.contains(QueryId(1)));
     }
 
     #[test]
     fn probe_on_unindexed_column_falls_back_to_scan() {
-        let (_, _, probe) = setup();
-        probe.enqueue_query(ProbeQuery::key(QueryId(1), 1, Value::text("row42")));
-        let res = probe.run_cycle().unwrap();
-        assert_eq!(res.tuples.len(), 1);
-        assert_eq!(res.tuples[0].tuple[0], Value::Int(42));
+        let (_catalog, probe) = setup();
+        let tuples = probe
+            .execute_batch(&[ProbeQuery::key(QueryId(1), 1, Value::text("row42"))])
+            .unwrap();
+        assert_eq!(tuples.len(), 1);
+        assert_eq!(tuples[0].tuple[0], Value::Int(42));
     }
 
     #[test]
     fn greater_and_less_than_ranges() {
-        let (_, _, probe) = setup();
-        probe.enqueue_query(ProbeQuery::range(
-            QueryId(1),
-            0,
-            ProbeRange::greater_than(Value::Int(195)),
-        ));
-        probe.enqueue_query(ProbeQuery::range(
-            QueryId(2),
-            0,
-            ProbeRange::less_than(Value::Int(2)),
-        ));
-        let res = probe.run_cycle().unwrap();
-        let q1: Vec<_> = res
-            .tuples
-            .iter()
-            .filter(|t| t.queries.contains(QueryId(1)))
-            .collect();
-        let q2: Vec<_> = res
-            .tuples
-            .iter()
-            .filter(|t| t.queries.contains(QueryId(2)))
-            .collect();
-        assert_eq!(q1.len(), 4); // 196..199
-        assert_eq!(q2.len(), 2); // 0, 1
-    }
-
-    #[test]
-    fn deleted_rows_not_returned() {
-        let (_, _, probe) = setup();
-        probe.enqueue_update(UpdateOp::Delete {
-            predicate: Expr::col(0).eq(Expr::lit(10i64)),
-        });
-        probe.enqueue_query(ProbeQuery::key(QueryId(1), 0, Value::Int(10)));
-        let res = probe.run_cycle().unwrap();
-        assert!(res.tuples.is_empty());
+        let (_catalog, probe) = setup();
+        let tuples = probe
+            .execute_batch(&[
+                ProbeQuery::range(QueryId(1), 0, ProbeRange::greater_than(Value::Int(195))),
+                ProbeQuery::range(QueryId(2), 0, ProbeRange::less_than(Value::Int(2))),
+            ])
+            .unwrap();
+        let count = |q: u32| {
+            tuples
+                .iter()
+                .filter(|t| t.queries.contains(QueryId(q)))
+                .count()
+        };
+        assert_eq!(count(1), 4); // 196..199
+        assert_eq!(count(2), 2); // 0, 1
     }
 }

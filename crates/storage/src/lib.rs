@@ -5,13 +5,15 @@
 //!
 //! * Main-memory, multi-versioned tables with snapshot-consistent reads
 //!   ([`table`], [`mvcc`]).
-//! * **ClockScan** shared table scans ([`clockscan`]): queries *and* updates
-//!   are batched and executed within a single pass over the data; query
-//!   predicates are indexed (a query-data join) instead of the data.
+//! * **ClockScan** shared table scans ([`clockscan`]): a batch of queries is
+//!   executed within a single pass over the data; query predicates are
+//!   indexed (a query-data join) instead of the data.
 //! * B-tree indexes and **shared index probes** ([`btree`], [`index_probe`]):
-//!   look-ups of a whole batch of queries are executed in one cycle, with
-//!   updates applied in arrival order, so that all selects of the cycle read a
-//!   consistent snapshot.
+//!   look-ups of a whole batch of queries are executed in one cycle.
+//! * Batched updates ([`update`], [`Catalog::apply_batch`]): a batch's writes
+//!   are applied in arrival order under one commit timestamp before its scans
+//!   and probes run, so that all selects of the batch read one consistent
+//!   snapshot that includes them.
 //! * A write-ahead log and checkpointing for durability ([`wal`]).
 //! * A catalog of tables and indexes ([`catalog`]).
 //!

@@ -155,7 +155,7 @@ proptest! {
         let spec = OperatorSpec::HashJoin { build_key: 0, probe_key: 0 };
         let all: Vec<(QueryId, Activation)> =
             (0..4u32).map(|q| (QueryId(q + 1), Activation::Participate)).collect();
-        let shared = execute_operator(&spec, &all, vec![to_qtuples(&left), to_qtuples(&right)], &ctx).unwrap();
+        let shared = execute_operator(&spec, &all, &[&to_qtuples(&left), &to_qtuples(&right)], &ctx).unwrap();
         for q in 0..4u32 {
             // Per-query execution: restrict the inputs to query q only.
             let lq: Vec<QTuple> = to_qtuples(&left)
@@ -171,7 +171,7 @@ proptest! {
             let solo = execute_operator(
                 &spec,
                 &[(QueryId(q + 1), Activation::Participate)],
-                vec![lq, rq],
+                &[&lq, &rq],
                 &ctx,
             )
             .unwrap();
@@ -190,7 +190,7 @@ proptest! {
         let spec = OperatorSpec::TopN { keys: vec![SortKey::desc(1), SortKey::asc(0)] };
         let all: Vec<(QueryId, Activation)> =
             (0..3u32).map(|q| (QueryId(q + 1), Activation::TopN { limit })).collect();
-        let shared = execute_operator(&spec, &all, vec![to_qtuples(&input)], &ctx).unwrap();
+        let shared = execute_operator(&spec, &all, &[&to_qtuples(&input)], &ctx).unwrap();
         for q in 0..3u32 {
             let iq: Vec<QTuple> = to_qtuples(&input)
                 .into_iter()
@@ -200,7 +200,7 @@ proptest! {
             let solo = execute_operator(
                 &spec,
                 &[(QueryId(q + 1), Activation::TopN { limit })],
-                vec![iq],
+                &[&iq],
                 &ctx,
             )
             .unwrap();
@@ -222,7 +222,7 @@ proptest! {
         };
         let all: Vec<(QueryId, Activation)> =
             (0..3u32).map(|q| (QueryId(q + 1), Activation::Having { predicate: None, partial: false })).collect();
-        let shared = execute_operator(&spec, &all, vec![to_qtuples(&input)], &ctx).unwrap();
+        let shared = execute_operator(&spec, &all, &[&to_qtuples(&input)], &ctx).unwrap();
         for q in 0..3u32 {
             let iq: Vec<QTuple> = to_qtuples(&input)
                 .into_iter()
@@ -232,7 +232,7 @@ proptest! {
             let solo = execute_operator(
                 &spec,
                 &[(QueryId(q + 1), Activation::Having { predicate: None, partial: false })],
-                vec![iq],
+                &[&iq],
                 &ctx,
             )
             .unwrap();
@@ -380,10 +380,8 @@ proptest! {
                         .enumerate()
                         .map(|(q, (c, key))| ProbeQuery::key(QueryId(q as u32), *c, key.clone()).at_snapshot(Some(snapshot)))
                         .collect::<Vec<_>>(),
-                    &[],
                 )
-                .unwrap()
-                .tuples;
+                .unwrap();
             let scanned = scan
                 .execute_batch(
                     &keys
@@ -394,10 +392,8 @@ proptest! {
                                 .at_snapshot(Some(snapshot))
                         })
                         .collect::<Vec<_>>(),
-                    &[],
                 )
-                .unwrap()
-                .tuples;
+                .unwrap();
             for (q, (c, key)) in keys.iter().enumerate() {
                 let rows_of = |tuples: &[QTuple]| -> Vec<String> {
                     let mut rows: Vec<String> = tuples
@@ -415,5 +411,48 @@ proptest! {
                 }
             }
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// LIKE: the linear matcher agrees with a dynamic-programming reference
+// ---------------------------------------------------------------------------
+
+/// `s LIKE pattern` by the textbook O(|s| · |pattern|) table: `m[i][j]` is
+/// true when the first `i` characters of `s` match the first `j` of
+/// `pattern`.
+fn like_reference(s: &[char], pattern: &[char]) -> bool {
+    let mut m = vec![vec![false; pattern.len() + 1]; s.len() + 1];
+    m[0][0] = true;
+    for i in 0..=s.len() {
+        for j in 1..=pattern.len() {
+            m[i][j] = match pattern[j - 1] {
+                '%' => m[i][j - 1] || (i > 0 && m[i - 1][j]),
+                '_' => i > 0 && m[i - 1][j - 1],
+                c => i > 0 && s[i - 1] == c && m[i - 1][j - 1],
+            };
+        }
+    }
+    m[s.len()][pattern.len()]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2000))]
+    #[test]
+    fn like_match_equals_dynamic_programming_reference(
+        s in proptest::collection::vec(0usize..5, 0..9),
+        pattern in proptest::collection::vec(0usize..5, 0..7),
+    ) {
+        const ALPHABET: [char; 5] = ['a', 'b', 'é', '%', '_'];
+        let s: Vec<char> = s.into_iter().map(|i| ALPHABET[i]).collect();
+        let pattern: Vec<char> = pattern.into_iter().map(|i| ALPHABET[i]).collect();
+        let (text, pat): (String, String) = (s.iter().collect(), pattern.iter().collect());
+        prop_assert_eq!(
+            shareddb::common::expr::like_match(&text, &pat),
+            like_reference(&s, &pattern),
+            "{:?} LIKE {:?}",
+            text,
+            pat
+        );
     }
 }
