@@ -15,7 +15,7 @@
 use crate::table::RowId;
 use shareddb_common::Value;
 use std::fmt;
-use std::ops::Bound;
+use std::ops::{Bound, ControlFlow};
 
 /// Maximum number of keys per node. 2*B children for internal nodes.
 const MAX_KEYS: usize = 32;
@@ -141,8 +141,23 @@ impl BTreeIndex {
     /// order.
     pub fn range(&self, low: Bound<&Value>, high: Bound<&Value>) -> Vec<(Value, RowId)> {
         let mut out = Vec::new();
-        self.root.range(&low, &high, &mut out);
+        let _ = self.visit_range(low, high, &mut |key, posting| {
+            out.extend(posting.iter().map(|&r| (key.clone(), r)));
+            ControlFlow::Continue(())
+        });
         out
+    }
+
+    /// Calls `f` with each key in the given range and its posting list, in
+    /// key order, until `f` breaks. A walk that breaks early has read only
+    /// the keys before the break (plus the rest of their leaf).
+    pub(crate) fn visit_range(
+        &self,
+        low: Bound<&Value>,
+        high: Bound<&Value>,
+        f: &mut impl FnMut(&Value, &[RowId]) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
+        self.root.visit_range(&low, &high, f)
     }
 
     /// Returns all row ids with keys in the given range.
@@ -262,14 +277,17 @@ impl Node {
         }
     }
 
-    fn range(&self, low: &Bound<&Value>, high: &Bound<&Value>, out: &mut Vec<(Value, RowId)>) {
+    fn visit_range(
+        &self,
+        low: &Bound<&Value>,
+        high: &Bound<&Value>,
+        f: &mut impl FnMut(&Value, &[RowId]) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
         match self {
             Node::Leaf(leaf) => {
                 for (k, posting) in leaf.keys.iter().zip(&leaf.postings) {
                     if bound_contains(low, high, k) {
-                        for &r in posting {
-                            out.push((k.clone(), r));
-                        }
+                        f(k, posting)?;
                     }
                 }
             }
@@ -292,11 +310,12 @@ impl Node {
                         _ => false,
                     };
                     if !above_high && !below_low {
-                        child.range(low, high, out);
+                        child.visit_range(low, high, f)?;
                     }
                 }
             }
         }
+        ControlFlow::Continue(())
     }
 
     fn collect_all(&self, out: &mut Vec<(Value, Vec<RowId>)>) {

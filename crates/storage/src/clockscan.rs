@@ -16,12 +16,23 @@
 //! The scan produces tuples in the data-query model ([`QTuple`]): each emitted
 //! row carries the set of queries that selected it. Emitted rows share their
 //! values with the stored version, so emitting one copies no values.
+//!
+//! **Index-assisted passes.** When every distinct predicate of a snapshot
+//! group has a conjunct `col op literal` (`=`, `<`, `<=`, `>`, `>=`) on a
+//! column with a secondary index, the pass visits only the candidate
+//! versions those indexes yield, in row-id order — the sequential pass's
+//! order — so it emits the same rows, in the same order, with the same
+//! query sets, at the cost of what the batch can select. A batch with an
+//! unindexed-only query (a title `LIKE`, say), or whose candidates pass a
+//! quarter of the table's versions, sweeps the whole table instead.
 
 use crate::mvcc::{Snapshot, TimestampOracle};
-use crate::predicate_index::{IndexedQuery, PredicateIndex};
-use crate::table::Table;
+use crate::predicate_index::PredicateIndex;
+use crate::table::{RowId, Table};
 use parking_lot::RwLock;
-use shareddb_common::{tuple_partition, Expr, QTuple, QueryId, Result, Tuple};
+use shareddb_common::{tuple_partition, BinaryOp, Expr, QTuple, QueryId, Result, Tuple, Value};
+use std::mem::discriminant;
+use std::ops::Bound;
 use std::sync::Arc;
 
 /// A segment-view cursor over the table: restricts one scan pass to the rows
@@ -126,31 +137,93 @@ impl ClockScan {
         let groups = crate::mvcc::group_by_snapshot(queries, self.oracle.read_ts(), |q| q.snapshot);
         let table = self.table.read();
         for (snapshot, members) in groups {
-            let index = PredicateIndex::build(
-                members
-                    .iter()
-                    .map(|q| IndexedQuery {
-                        query_id: q.query_id,
-                        predicate: q.predicate.clone(),
-                    })
-                    .collect(),
-            );
-            for (_, row) in table.scan(snapshot) {
+            let index = PredicateIndex::build(members.iter().map(|q| (q.query_id, &q.predicate)));
+            let mut emit = |row: &Tuple| -> Result<()> {
                 // The segment-view cursor: rows outside the view are skipped
                 // before the query-data join even looks at them.
-                if let Some(view) = view {
-                    if !view.contains(row) {
-                        continue;
-                    }
+                if view.is_some_and(|view| !view.contains(row)) {
+                    return Ok(());
                 }
                 let matches = index.matching_queries(row)?;
                 if !matches.is_empty() {
                     tuples.push(QTuple::new(row.clone(), matches));
                 }
+                Ok(())
+            };
+            match index_candidates(&table, &index) {
+                Some(candidates) => {
+                    for rid in candidates {
+                        if let Some(row) = table.read(rid, snapshot) {
+                            emit(row)?;
+                        }
+                    }
+                }
+                None => {
+                    for (_, row) in table.scan(snapshot) {
+                        emit(row)?;
+                    }
+                }
             }
         }
         Ok(tuples)
     }
+}
+
+/// Largest share of the table's versions an index-assisted pass may visit:
+/// `version_count() / GATHER_CAP_DIVISOR`. Gathering, sorting and reading
+/// candidates costs more per row than the sequential pass, so a wide enough
+/// range is cheaper to sweep. On a 90 000-row table (the `range_batch` group
+/// of `crates/bench/benches/clockscan.rs`, with the cap lifted) the gather
+/// still won at 33% selectivity and lost at 50%, both with rows in index
+/// order and with rows scattered; a quarter keeps a margin below that.
+const GATHER_CAP_DIVISOR: usize = 4;
+
+/// The versions an index-assisted pass visits, ascending and distinct, or
+/// `None` when the pass must be sequential.
+///
+/// Every distinct predicate must have a conjunct `col op literal` (`op` one
+/// of `=`, `<`, `<=`, `>`, `>=`) on a column with a secondary index; its
+/// first such conjunct, an equality preferred, names one index range. The
+/// union of the ranges, one look-up per distinct range, holds every row any
+/// query can select. Sorted by row id, the candidates come in the order the
+/// sequential pass visits them, so both passes emit the same tuples in the
+/// same order. Past the cap the gather gives up, having read at most a
+/// [`GATHER_CAP_DIVISOR`]th of the versions.
+fn index_candidates(table: &Table, index: &PredicateIndex<'_>) -> Option<Vec<RowId>> {
+    let mut lookups: Vec<(usize, BinaryOp, &Value)> = Vec::new();
+    for predicate in index.predicates() {
+        let lookup = predicate
+            .split_conjuncts()
+            .into_iter()
+            .filter_map(Expr::as_column_literal_cmp)
+            .filter(|&(col, op, _)| op != BinaryOp::NotEq && table.has_index_on(col))
+            .min_by_key(|&(_, op, _)| op != BinaryOp::Eq)?;
+        // Literals `==` in one variant are identical.
+        let same = |&(col, op, lit): &(usize, BinaryOp, &Value)| {
+            (col, op, lit) == lookup && discriminant(lit) == discriminant(lookup.2)
+        };
+        if !lookups.iter().any(same) {
+            lookups.push(lookup);
+        }
+    }
+    let cap = table.version_count() / GATHER_CAP_DIVISOR;
+    let mut candidates = Vec::new();
+    for (col, op, literal) in lookups {
+        let (low, high) = match op {
+            BinaryOp::Eq => (Bound::Included(literal), Bound::Included(literal)),
+            BinaryOp::Lt => (Bound::Unbounded, Bound::Excluded(literal)),
+            BinaryOp::LtEq => (Bound::Unbounded, Bound::Included(literal)),
+            BinaryOp::Gt => (Bound::Excluded(literal), Bound::Unbounded),
+            _ => (Bound::Included(literal), Bound::Unbounded),
+        };
+        let budget = cap - candidates.len();
+        if !table.index_range(col, low, high, budget, &mut candidates) {
+            return None;
+        }
+    }
+    candidates.sort_unstable();
+    candidates.dedup();
+    Some(candidates)
 }
 
 #[cfg(test)]
@@ -332,6 +405,40 @@ mod tests {
             }
         }
         assert_eq!(seen.len(), 100, "segments did not cover the table");
+    }
+
+    /// A batch whose every predicate has an indexed conjunct visits only the
+    /// index candidates; an unindexed-only query or a range past the cap
+    /// sends the batch to the sequential pass.
+    #[test]
+    fn index_pass_visits_only_candidates() {
+        let (catalog, scan) = setup();
+        catalog
+            .create_index(crate::catalog::IndexDef {
+                name: "T_PRICE".into(),
+                table: "T".into(),
+                column: "PRICE".into(),
+            })
+            .unwrap();
+        let table = scan.table.read();
+        let gather = |predicates: &[Expr]| {
+            let index = PredicateIndex::build(predicates.iter().map(|p| (QueryId(1), p)));
+            index_candidates(&table, &index).map(|c| c.len())
+        };
+        let price = |op: BinaryOp, v: f64| Expr::col(2).binary(op, Expr::lit(v));
+        // Prices 9 and 7 take 10 rows each. The two `>= 9` share a look-up:
+        // three look-ups would gather 30 ids, past the cap of 25.
+        let selective = [
+            price(BinaryOp::GtEq, 9.0),
+            price(BinaryOp::GtEq, 9.0).and(Expr::col(1).like(Expr::lit("E%"))),
+            price(BinaryOp::Eq, 7.0),
+        ];
+        assert_eq!(gather(&selective), Some(20));
+        let with_unindexed = [price(BinaryOp::Eq, 7.0), Expr::col(1).eq(Expr::lit("ODD"))];
+        assert_eq!(gather(&with_unindexed), None);
+        // 30 rows pass a quarter of the table's 100 versions.
+        assert_eq!(gather(&[price(BinaryOp::Gt, 6.5)]), None);
+        assert_eq!(gather(&[price(BinaryOp::Gt, 7.5)]), Some(20));
     }
 
     #[test]

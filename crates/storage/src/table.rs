@@ -15,7 +15,7 @@ use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::fmt;
-use std::ops::Bound;
+use std::ops::{Bound, ControlFlow};
 
 /// Index of a row *version* in the table's version arena.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -382,29 +382,65 @@ impl Table {
         high: Bound<&Value>,
         snapshot: Snapshot,
     ) -> Vec<(RowId, &Tuple)> {
+        let in_range = |row: &Tuple| sql_in_range(&row[column], low, high);
+        let mut ids = Vec::new();
+        if !self.index_range(column, low, high, usize::MAX, &mut ids) {
+            return self
+                .scan(snapshot)
+                .filter(|(_, row)| in_range(row))
+                .collect();
+        }
+        // The index orders comparable keys as SQL does; the re-check drops
+        // NULL keys and keys no bound compares with.
+        ids.into_iter()
+            .filter_map(|rid| self.read(rid, snapshot).map(|t| (rid, t)))
+            .filter(|(_, row)| in_range(row))
+            .collect()
+    }
+
+    /// Appends to `out`, in key order, the ids of the versions — visible or
+    /// not — that the secondary index on `column` files between `low` and
+    /// `high`: a superset of the rows [`Table::lookup_range`] returns at any
+    /// snapshot. A NULL bound appends nothing, since nothing matches it.
+    ///
+    /// Returns `false` and leaves `out` as it was when `column` has no
+    /// secondary index, or when the range holds more than `cap` versions;
+    /// the walk then gives up after reading at most `cap` of them.
+    pub(crate) fn index_range(
+        &self,
+        column: usize,
+        low: Bound<&Value>,
+        high: Bound<&Value>,
+        cap: usize,
+        out: &mut Vec<RowId>,
+    ) -> bool {
         if [low, high]
             .iter()
             .any(|b| matches!(b, Bound::Included(v) | Bound::Excluded(v) if v.is_null()))
         {
-            return Vec::new();
+            return true;
         }
-        let in_range = |v: &Value| sql_in_range(v, low, high);
         let Some(index) = self.index_on(column) else {
-            return self
-                .scan(snapshot)
-                .filter(|(_, row)| in_range(&row[column]))
-                .collect();
+            return false;
         };
         let key = |b: Bound<&Value>| b.map(|v| v.sql_key().into_owned());
-        // The index orders comparable keys as SQL does; the re-check drops
-        // NULL keys and keys no bound compares with.
-        index
-            .tree
-            .range_rows(key(low).as_ref(), key(high).as_ref())
-            .into_iter()
-            .filter_map(|rid| self.read(rid, snapshot).map(|t| (rid, t)))
-            .filter(|(_, row)| in_range(&row[column]))
-            .collect()
+        let start = out.len();
+        let mut budget = cap;
+        let walk =
+            index
+                .tree
+                .visit_range(key(low).as_ref(), key(high).as_ref(), &mut |_, posting| {
+                    let Some(left) = budget.checked_sub(posting.len()) else {
+                        return ControlFlow::Break(());
+                    };
+                    budget = left;
+                    out.extend_from_slice(posting);
+                    ControlFlow::Continue(())
+                });
+        if walk.is_break() {
+            out.truncate(start);
+        }
+        walk.is_continue()
     }
 
     fn index_on(&self, column: usize) -> Option<&SecondaryIndex> {

@@ -415,6 +415,152 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
+// Storage: a ClockScan pass equals evaluating every visible row
+// ---------------------------------------------------------------------------
+
+/// `e` with every `Int` literal replaced by the equal `Float`: `==` to `e`
+/// as an expression, yet `ID / 2` and `ID / 2.0` divide differently.
+fn float_twin(e: &shareddb::common::Expr) -> shareddb::common::Expr {
+    use shareddb::common::Expr;
+    match e {
+        Expr::Literal(Value::Int(i)) => Expr::Literal(Value::Float(*i as f64)),
+        Expr::Binary { op, left, right } => float_twin(left).binary(*op, float_twin(right)),
+        Expr::Like {
+            expr,
+            pattern,
+            negated,
+        } => Expr::Like {
+            expr: Box::new(float_twin(expr)),
+            pattern: pattern.clone(),
+            negated: *negated,
+        },
+        other => other.clone(),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+    #[test]
+    fn clockscan_pass_equals_evaluating_every_visible_row(
+        rows in proptest::collection::vec((0u8..4, 0i64..32, 0usize..5), 8..80),
+        writes in proptest::collection::vec((0u8..4, 0i64..80, (0u8..4, 0i64..32, 0usize..5)), 0..16),
+        queries in proptest::collection::vec((0u8..10, 0u8..6, 0usize..80, 0usize..5), 1..5),
+    ) {
+        use shareddb::common::{BinaryOp, DataType, Expr, Tuple};
+        use shareddb::storage::{ClockScan, IndexDef, ScanQuery, SegmentView, TableDef, UpdateOp};
+        const TEXTS: [&str; 5] = ["a", "ab", "b", "ba", "c"];
+        const OPS: [BinaryOp; 5] =
+            [BinaryOp::Eq, BinaryOp::Lt, BinaryOp::LtEq, BinaryOp::Gt, BinaryOp::GtEq];
+        // ID (pk), N (indexed; NULL, Int, Date or Float), S (indexed text or
+        // NULL), U (N's unindexed twin).
+        let catalog = Catalog::new();
+        catalog
+            .create_table(
+                TableDef::new("T")
+                    .column("ID", DataType::Int)
+                    .nullable_column("N", DataType::Int)
+                    .nullable_column("S", DataType::Text)
+                    .nullable_column("U", DataType::Int)
+                    .primary_key(&["ID"]),
+            )
+            .unwrap();
+        for column in ["N", "S"] {
+            catalog
+                .create_index(IndexDef { name: format!("T_{column}"), table: "T".into(), column: column.into() })
+                .unwrap();
+        }
+        let payload = |(kind, v, text): (u8, i64, usize)| -> Vec<Value> {
+            let n = column_value(DataType::Int, kind, v);
+            let s = if kind == 0 { Value::Null } else { Value::text(TEXTS[text]) };
+            vec![n.clone(), s, n]
+        };
+        let row = |id: i64, cells: (u8, i64, usize)| {
+            let mut values = vec![Value::Int(id)];
+            values.extend(payload(cells));
+            Tuple::new(values)
+        };
+        catalog
+            .bulk_load("T", rows.iter().enumerate().map(|(id, &cells)| row(id as i64, cells)).collect())
+            .unwrap();
+        // Every write commits on its own; the pinned snapshot sits halfway.
+        let mut pinned = catalog.oracle().read_ts();
+        for (i, &(action, id, cells)) in writes.iter().enumerate() {
+            let op = match action {
+                0 => UpdateOp::Delete { predicate: Expr::col(0).eq(Expr::lit(id)) },
+                1 => UpdateOp::Insert { values: row(100 + i as i64, cells) },
+                _ => UpdateOp::Update {
+                    assignments: payload(cells).into_iter().enumerate().map(|(c, v)| (c + 1, Expr::Literal(v))).collect(),
+                    predicate: Expr::col(0).eq(Expr::lit(id)),
+                },
+            };
+            catalog.apply_batch(&[("T".into(), op)]).unwrap();
+            if i == writes.len() / 2 {
+                pinned = catalog.oracle().read_ts();
+            }
+        }
+        // Predicates: indexed comparisons with mixed-type and NULL literals
+        // (both ways round), text comparisons, a LIKE residual, an
+        // unindexed-only comparison, an `ID / 2` conjunct, exact duplicates
+        // and `Int`-to-`Float` twins of the previous predicate. Literals
+        // are near a loaded row's value, so ranges of every selectivity and
+        // equalities that hit both come up.
+        let mut predicates: Vec<Expr> = Vec::new();
+        for &(shape, kind, pick, text) in &queries {
+            let v = rows[pick % rows.len()].1;
+            let literal = Expr::Literal(probe_key(kind, v));
+            let op = OPS[text];
+            let indexed = Expr::col(1).binary(op, literal.clone());
+            let predicate = match (shape, predicates.last()) {
+                (0 | 1, _) => indexed,
+                (2, _) => literal.binary(op, Expr::col(1)),
+                (3, _) => {
+                    let literal = if kind % 2 == 1 { Expr::lit(TEXTS[v as usize % 5]) } else { literal };
+                    Expr::col(2).binary(op, literal)
+                }
+                (4, _) => indexed.and(Expr::col(2).like(Expr::lit("a%"))),
+                (5, _) => Expr::col(3).binary(op, literal),
+                (6, _) => indexed.and(Expr::col(0).binary(BinaryOp::Div, Expr::lit(2i64)).eq(Expr::lit(v))),
+                (7 | 8, Some(last)) => last.clone(),
+                (_, Some(last)) => float_twin(last),
+                (_, None) => indexed,
+            };
+            predicates.push(predicate);
+        }
+        let table = catalog.table("T").unwrap();
+        let scan = ClockScan::new(table.clone(), catalog.oracle());
+        let views = [None, Some((0, 2)), Some((1, 2)), Some((2, 3))];
+        for snapshot in [pinned, catalog.oracle().read_ts()] {
+            let batch: Vec<ScanQuery> = predicates
+                .iter()
+                .enumerate()
+                .map(|(q, p)| ScanQuery::new(QueryId(q as u32), p.clone()).at_snapshot(Some(snapshot)))
+                .collect();
+            for view in views {
+                let view = view.map(|(index, of)| SegmentView { index, of, key_columns: vec![0] });
+                let got: Vec<(String, Vec<u32>)> = scan
+                    .execute_batch_segmented(&batch, view.as_ref())
+                    .unwrap()
+                    .iter()
+                    .map(|t| (format!("{:?}", t.tuple), t.queries.iter().map(|q| q.raw()).collect()))
+                    .collect();
+                let guard = table.read();
+                let want: Vec<(String, Vec<u32>)> = guard
+                    .scan(snapshot)
+                    .filter(|(_, r)| view.as_ref().is_none_or(|view| view.contains(r)))
+                    .filter_map(|(_, r)| {
+                        let ids: Vec<u32> = (0..predicates.len() as u32)
+                            .filter(|&q| predicates[q as usize].eval_predicate(r).unwrap())
+                            .collect();
+                        (!ids.is_empty()).then(|| (format!("{r:?}"), ids))
+                    })
+                    .collect();
+                prop_assert_eq!(got, want, "predicates {:?}, view {:?}", predicates, view);
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // LIKE: the linear matcher agrees with a dynamic-programming reference
 // ---------------------------------------------------------------------------
 
