@@ -32,7 +32,7 @@ fn bench_btree_ops(c: &mut Criterion) {
     });
     group.bench_function("range_1k", |b| {
         b.iter(|| {
-            idx.range_rows(
+            idx.range(
                 std::ops::Bound::Included(&Value::Int(40_000)),
                 std::ops::Bound::Excluded(&Value::Int(41_000)),
             )

@@ -5,7 +5,10 @@
 //! parameter; SharedDB uses at most 32 (one per operator). The reproduction
 //! varies the engine's core budget (SharedDB) / worker count (baselines) and
 //! drives each configuration at a high offered load to measure the maximum
-//! sustainable WIPS. Override points with `FIG8_CORES` (comma-separated).
+//! sustainable WIPS. SharedDB's core budget sizes its worker pool, which never
+//! exceeds the machine's available parallelism, so its points above that
+//! count run the same pool. Override points with `FIG8_CORES`
+//! (comma-separated).
 
 use shareddb_bench::{bench_duration, bench_scale, env_usize, print_header, SystemUnderTest};
 use shareddb_tpcw::{run_workload, DriverConfig, Mix};

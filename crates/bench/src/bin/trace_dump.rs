@@ -5,8 +5,10 @@
 //! The journal is the drill-down companion to the `/metrics` histograms:
 //! percentiles say *how long* the execute phase took, the trace says *what a
 //! particular batch did* — how many statements it admitted, which shared
-//! operators actually fired and for how long, and where each query's rows
-//! were routed (the Γ step). The ring is bounded (`trace_capacity` events),
+//! operators fired and for how long, and where each query's rows were
+//! routed (the Γ step). Only operators with an activation in the batch run,
+//! so the `operators fired` count is the batch's active sub-plan, not the
+//! plan size. The ring is bounded (`trace_capacity` events),
 //! so this is safe to leave on in production-shaped runs.
 //!
 //! Arguments: `--replicas N` (default 2), `--capacity EVENTS` (journal ring

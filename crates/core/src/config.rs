@@ -114,9 +114,11 @@ pub struct EngineConfig {
     /// Maximum number of queries and updates admitted into one batch; `0`
     /// means unlimited. Bounding the batch bounds the latency of a cycle.
     pub max_batch_size: usize,
-    /// Number of CPU cores the engine may use concurrently. This models the
-    /// `maxcpus` knob of Section 5.1: operators still exist as threads, but at
-    /// most `core_budget` of them execute a cycle at any moment.
+    /// Number of CPU cores the engine may use concurrently: the size of its
+    /// worker pool, capped at the machine's available parallelism. This
+    /// models the `maxcpus` knob of Section 5.1: every operator job of a
+    /// batch runs on the pool, so at most `core_budget` operators execute at
+    /// any moment. The default (`usize::MAX`) sizes the pool to the machine.
     pub core_budget: usize,
     /// If true, the engine processes an available batch immediately instead of
     /// waiting for the full heartbeat interval (keeps latency low under light
@@ -132,11 +134,12 @@ pub struct EngineConfig {
     /// Number of row segments each table is logically split into for
     /// intra-engine parallel shared scans (the paper's Crescando substrate
     /// runs one clock scan per core over a data partition). Eligible queries
-    /// (see [`crate::scatter::scatter_spec`]) execute segment-parallel on an
-    /// engine-owned worker pool and recombine per batch through
+    /// (see [`crate::scatter::scatter_spec`]) run as one plan instance per
+    /// segment on the engine's worker pool, next to the instance of the
+    /// unsegmented queries, and recombine per batch through
     /// [`crate::merge::MergeSpec`]; updates always stay unsegmented (the
-    /// single-writer group commit is untouched). `1` (the default) compiles
-    /// to the exact pre-segmentation inline path: no pool, no merge step.
+    /// single-writer group commit is untouched). `1` (the default) runs
+    /// every query in the one unsegmented instance, with no merge step.
     /// `0` is rejected by [`crate::Engine::start`].
     pub scan_segments: usize,
     /// Statement types forced into the *light* admission lane, overriding the

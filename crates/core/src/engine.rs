@@ -2,29 +2,33 @@
 //!
 //! The engine owns:
 //!
-//! * one **operator thread per plan node** (Section 4.3: "all database
-//!   operators are executed in a separate hardware context"),
 //! * an **admission queue** where freshly submitted queries and updates wait
 //!   while the current batch is processed (Section 3.2),
 //! * a **coordinator thread** that drains the admission queue at every
-//!   heartbeat, forms a [`QueryBatch`], wires per-batch data channels between
-//!   the operator threads, applies the batch's updates (group commit), routes
+//!   heartbeat, forms a [`QueryBatch`], applies the batch's updates (group
+//!   commit), hands the batch's active operators to the worker pool, routes
 //!   the roots' outputs back to the waiting clients (the Γ(query_id) step) and
 //!   records statistics,
-//! * with `EngineConfig::scan_segments > 1`, a **segment worker pool**: the
-//!   coordinator splits each batch into a *whole lane* (the operator threads,
-//!   as above) and a *segment lane* — queries whose statement shape has a
-//!   [`crate::scatter::ScatterSpec`] are rewritten into one activation set per
-//!   row segment, each segment executes the plan on a pool worker, and the
-//!   partial results recombine through [`crate::merge::merge_results`] before
-//!   routing. Updates are never segmented (single-writer group commit), and
-//!   every segment of a batch reads the batch's one snapshot.
+//! * one **worker pool** of `min(core_budget, available parallelism)`
+//!   threads that runs operators as jobs. Section 4.3 gives every shared
+//!   operator its own hardware context and lets operators share cores when
+//!   there are fewer cores than operators; here the pool's workers are the
+//!   cores. Per batch the coordinator builds one *instance* per lane: the
+//!   *whole lane*, and with `EngineConfig::scan_segments > 1` one instance
+//!   per row segment of the *segment lane* (queries whose statement shape has
+//!   a [`crate::scatter::ScatterSpec`], rewritten to read one segment each;
+//!   their partial results recombine through [`crate::merge::merge_results`]
+//!   before routing). An operator with no activation in an instance does not
+//!   run there. One that has runs as an `(instance, operator)` job as soon as
+//!   its active producers have published their outputs, so independent
+//!   operators and segments run concurrently. Updates are never segmented
+//!   (single-writer group commit), and every instance of a batch reads the
+//!   batch's one snapshot.
 //!
 //! Clients interact through [`Engine::execute`] (asynchronous, returns a
 //! [`QueryHandle`]) or [`Engine::execute_sync`].
 
 use crate::batch::{bind_query, bind_update, Activation, ActiveQuery, ActiveUpdate, QueryBatch};
-use crate::budget::CoreBudget;
 use crate::config::{EngineConfig, HeartbeatPolicy};
 use crate::merge::{merge_results, MergeSpec};
 use crate::operators::{execute_operator, ExecContext};
@@ -46,8 +50,9 @@ use shareddb_common::{Error, QTuple, QueryId, Result, Schema, Tuple, Value};
 use shareddb_storage::mvcc::Snapshot;
 use shareddb_storage::Catalog;
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -158,58 +163,87 @@ impl QueryHandle {
 // Internal messages
 // ---------------------------------------------------------------------------
 
-type TaskData = Arc<Vec<QTuple>>;
-
 /// Γ routing table of one lane: root operator → query → that query's rows.
 type RoutingTable = HashMap<OperatorId, HashMap<QueryId, Vec<Tuple>>>;
 
-struct OperatorTask {
-    activations: Vec<(QueryId, Activation)>,
-    inputs: Vec<Receiver<TaskData>>,
-    outputs: Vec<Sender<TaskData>>,
-    collector: Option<Sender<(OperatorId, TaskData)>>,
-    done: Sender<OperatorDone>,
-    snapshot: Snapshot,
-}
-
-struct OperatorDone {
-    id: OperatorId,
-    result: Result<usize>,
-    busy: Duration,
-    had_queries: bool,
-}
-
-enum OperatorMessage {
-    Task(Box<OperatorTask>),
-    Shutdown,
-}
-
-/// One segment lane of one batch: the full plan, restricted to the
-/// segment-eligible queries, over one row segment `(segment, of)`. A pool
-/// worker executes the plan nodes **sequentially in id order** (plan ids are
-/// topological), materialising each node's output for its consumers — no
-/// per-segment channel mesh, no cross-segment synchronisation until the
-/// coordinator's merge barrier.
-struct SegmentJob {
-    segment: u32,
-    /// Bound activations per plan node (indexed by operator id); nodes with
-    /// no activations are skipped.
+/// One lane of one batch, run as a DAG of operator jobs on the worker pool:
+/// the whole lane, or one row segment of the segment lane.
+struct Instance {
+    /// `None` for the whole lane, `Some(s)` for row segment `s`.
+    segment: Option<u32>,
+    /// Bound activations per plan node; a node without any does not run.
     activations: Vec<Vec<(QueryId, Activation)>>,
-    /// Root operators whose output the coordinator needs for merging.
-    collect: Vec<bool>,
+    /// Per node: active producers that have not yet published their output.
+    pending: Vec<AtomicUsize>,
+    /// Per node: its output, written once by the job that ran it.
+    outputs: Vec<OnceLock<Vec<QTuple>>>,
+    /// Set by the first node that fails; the instance's later jobs skip
+    /// their work, since the lane's queries fail anyway.
+    failed: AtomicBool,
     snapshot: Snapshot,
-    done: Sender<SegmentDone>,
+    jobs: Sender<Job>,
+    done: Sender<JobDone>,
 }
 
-struct SegmentDone {
-    segment: u32,
-    /// `(tuples_out, busy)` per executed plan node (`None` = not executed in
-    /// this lane). Feeds the per-operator counters without double-counting:
-    /// the coordinator folds lanes with max-busy / summed-tuples.
-    node_stats: Vec<Option<(usize, Duration)>>,
-    /// Root outputs by operator id, or the first node failure.
-    outputs: Result<HashMap<OperatorId, Vec<QTuple>>>,
-    /// Wall-clock duration of the whole segment job.
+impl Instance {
+    /// Builds an instance and returns it with its initial ready set: the
+    /// active nodes without an active producer. The set is computed from the
+    /// complete pending counts before any job is enqueued, so a node that a
+    /// finishing producer releases is never also in it.
+    fn new(
+        segment: Option<u32>,
+        activations: Vec<Vec<(QueryId, Activation)>>,
+        consumers: &[Vec<OperatorId>],
+        snapshot: Snapshot,
+        jobs: &Sender<Job>,
+        done: &Sender<JobDone>,
+    ) -> (Arc<Instance>, Vec<OperatorId>) {
+        let mut pending = vec![0usize; activations.len()];
+        for (id, consumers) in consumers.iter().enumerate() {
+            if !activations[id].is_empty() {
+                for &consumer in consumers {
+                    pending[consumer] += 1;
+                }
+            }
+        }
+        let ready = (0..activations.len())
+            .filter(|&id| !activations[id].is_empty() && pending[id] == 0)
+            .collect();
+        let instance = Instance {
+            segment,
+            outputs: (0..activations.len()).map(|_| OnceLock::new()).collect(),
+            activations,
+            pending: pending.into_iter().map(AtomicUsize::new).collect(),
+            failed: AtomicBool::new(false),
+            snapshot,
+            jobs: jobs.clone(),
+            done: done.clone(),
+        };
+        (Arc::new(instance), ready)
+    }
+
+    fn is_active(&self, id: OperatorId) -> bool {
+        !self.activations[id].is_empty()
+    }
+
+    /// The output of node `id`; empty when the node did not run.
+    fn output(&self, id: OperatorId) -> &[QTuple] {
+        self.outputs[id].get().map_or(&[], Vec::as_slice)
+    }
+}
+
+/// One operator of one instance, queued for the worker pool.
+struct Job {
+    instance: Arc<Instance>,
+    node: OperatorId,
+}
+
+/// What a worker reports to the coordinator for one finished job.
+struct JobDone {
+    segment: Option<u32>,
+    node: OperatorId,
+    /// Tuples emitted, or the operator's failure.
+    result: Result<usize>,
     busy: Duration,
 }
 
@@ -436,15 +470,15 @@ struct EngineInner {
     /// `operator_stats` from the same folded per-batch numbers (so attributed
     /// busy times sum exactly to the per-operator busy counters).
     attribution: AttributionTable,
-    operator_senders: Vec<Sender<OperatorMessage>>,
+    /// Storage access operator per plan node (`None` for relational ones).
+    storage_ops: Vec<Option<StorageOperator>>,
+    /// Per plan node: the nodes that consume its output.
+    consumers: Vec<Vec<OperatorId>>,
     trace: TraceJournal,
     /// Per-statement partitionability analysis, precomputed at start; `None`
     /// for updates and shapes the walker does not recognise. Only populated
     /// when `config.scan_segments > 1`.
     scatter_specs: Vec<Option<ScatterSpec>>,
-    /// Job channel of the segment worker pool (`None` when segmenting is
-    /// off); taken and dropped on shutdown to disconnect the workers.
-    segment_jobs: Mutex<Option<Sender<SegmentJob>>>,
     /// One counter slot per segment lane (empty when segmenting is off).
     segment_stats: Vec<SegmentStats>,
 }
@@ -453,13 +487,14 @@ struct EngineInner {
 pub struct Engine {
     inner: Arc<EngineInner>,
     coordinator: Option<JoinHandle<()>>,
-    operators: Vec<JoinHandle<()>>,
-    segment_workers: Vec<JoinHandle<()>>,
+    workers: Vec<JoinHandle<()>>,
 }
 
 impl Engine {
-    /// Starts the engine: spawns one thread per plan operator plus the
-    /// coordinator thread.
+    /// Starts the engine: spawns the worker pool, sized
+    /// `min(core_budget, available parallelism)`, and the coordinator thread.
+    /// No thread is tied to an operator: every operator of the plan runs as
+    /// a pool job in the batches that activate it.
     pub fn start(
         catalog: Arc<Catalog>,
         plan: GlobalPlan,
@@ -472,8 +507,7 @@ impl Engine {
                 "scan_segments must be >= 1 (1 disables segment parallelism)".into(),
             ));
         }
-        let storage_ops = Arc::new(build_storage_operators(&catalog, &plan)?);
-        let budget = CoreBudget::new(config.core_budget);
+        let storage_ops = build_storage_operators(&catalog, &plan)?;
 
         // Which statement shapes may run segment-parallel, and how their
         // partial results recombine. The analysis is per statement type, so
@@ -485,36 +519,6 @@ impl Engine {
                 .collect()
         } else {
             registry.iter().map(|_| None).collect()
-        };
-
-        let mut operator_senders = Vec::with_capacity(plan.len());
-        let mut operator_receivers = Vec::with_capacity(plan.len());
-        for _ in 0..plan.len() {
-            let (tx, rx) = unbounded::<OperatorMessage>();
-            operator_senders.push(tx);
-            operator_receivers.push(rx);
-        }
-
-        // Segment worker pool: one worker per segment lane, all draining one
-        // shared job channel, so a batch's N segment jobs run concurrently.
-        let mut segment_workers = Vec::new();
-        let segment_jobs = if config.scan_segments > 1 {
-            let (tx, rx) = unbounded::<SegmentJob>();
-            for i in 0..config.scan_segments {
-                let rx = rx.clone();
-                let plan = plan.clone();
-                let storage_ops = Arc::clone(&storage_ops);
-                let catalog = Arc::clone(&catalog);
-                let budget = budget.clone();
-                let handle = std::thread::Builder::new()
-                    .name(format!("shareddb-seg-{i}"))
-                    .spawn(move || segment_worker_loop(rx, plan, storage_ops, catalog, budget))
-                    .map_err(|e| Error::Internal(format!("failed to spawn segment worker: {e}")))?;
-                segment_workers.push(handle);
-            }
-            Some(tx)
-        } else {
-            None
         };
         let segment_stats: Vec<SegmentStats> = if config.scan_segments > 1 {
             (0..config.scan_segments)
@@ -538,9 +542,19 @@ impl Engine {
             .map(|(i, _)| i)
             .collect();
         let initial_heartbeat_us = config.heartbeat.initial_interval().as_micros() as u64;
+        let pool_size = config
+            .core_budget
+            .min(std::thread::available_parallelism().map_or(1, |n| n.get()))
+            .max(1);
         let inner = Arc::new(EngineInner {
-            catalog: Arc::clone(&catalog),
-            plan: plan.clone(),
+            catalog,
+            consumers: (0..plan.len()).map(|id| plan.parents(id)).collect(),
+            operator_stats: (0..plan.len()).map(|_| OperatorStats::default()).collect(),
+            attribution: AttributionTable::new(
+                plan.nodes().iter().map(|n| n.name.clone()).collect(),
+                statement_names.clone(),
+            ),
+            plan,
             registry,
             config,
             admission: Admission {
@@ -555,46 +569,39 @@ impl Engine {
             query_ids: QueryIdGenerator::new(),
             tickets: TicketGenerator::new(),
             shutdown: AtomicBool::new(false),
-            stats: EngineStats::with_statements(statement_names.clone()),
+            stats: EngineStats::with_statements(statement_names),
             stats_epoch: Mutex::new(Instant::now()),
-            operator_stats: (0..plan.len()).map(|_| OperatorStats::default()).collect(),
-            attribution: AttributionTable::new(
-                plan.nodes().iter().map(|n| n.name.clone()).collect(),
-                statement_names,
-            ),
-            operator_senders,
+            storage_ops,
             trace,
             scatter_specs,
-            segment_jobs: Mutex::new(segment_jobs),
             segment_stats,
         });
 
-        // Operator threads.
-        let mut operators = Vec::with_capacity(plan.len());
-        for (node, rx) in plan.nodes().iter().zip(operator_receivers) {
-            let node = node.clone();
-            let storage_ops = Arc::clone(&storage_ops);
-            let catalog = Arc::clone(&catalog);
-            let budget = budget.clone();
+        // The coordinator owns the pool's only long-lived job sender; once it
+        // exits and its last batch's instances are gone, the channel
+        // disconnects and the workers stop.
+        let (jobs_tx, jobs_rx) = unbounded::<Job>();
+        let mut workers = Vec::with_capacity(pool_size);
+        for i in 0..pool_size {
+            let inner = Arc::clone(&inner);
+            let jobs = jobs_rx.clone();
             let handle = std::thread::Builder::new()
-                .name(format!("shareddb-op-{}", node.name))
-                .spawn(move || operator_loop(node.id, node, rx, storage_ops, catalog, budget))
-                .map_err(|e| Error::Internal(format!("failed to spawn operator thread: {e}")))?;
-            operators.push(handle);
+                .name(format!("shareddb-worker-{i}"))
+                .spawn(move || worker_loop(inner, jobs))
+                .map_err(|e| Error::Internal(format!("failed to spawn pool worker: {e}")))?;
+            workers.push(handle);
         }
 
-        // Coordinator thread.
         let coordinator_inner = Arc::clone(&inner);
         let coordinator = std::thread::Builder::new()
             .name("shareddb-coordinator".to_string())
-            .spawn(move || coordinator_loop(coordinator_inner))
+            .spawn(move || coordinator_loop(coordinator_inner, jobs_tx))
             .map_err(|e| Error::Internal(format!("failed to spawn coordinator: {e}")))?;
 
         Ok(Engine {
             inner,
             coordinator: Some(coordinator),
-            operators,
-            segment_workers,
+            workers,
         })
     }
 
@@ -810,17 +817,9 @@ impl Engine {
         if let Some(handle) = self.coordinator.take() {
             let _ = handle.join();
         }
-        // Disconnect the segment pool's job channel after the coordinator is
-        // gone (it is the only sender of jobs); the workers' recv fails and
-        // they exit.
-        drop(self.inner.segment_jobs.lock().take());
-        for handle in self.segment_workers.drain(..) {
-            let _ = handle.join();
-        }
-        for sender in &self.inner.operator_senders {
-            let _ = sender.send(OperatorMessage::Shutdown);
-        }
-        for handle in self.operators.drain(..) {
+        // The coordinator took the pool's job sender with it, so the
+        // workers' recv fails and they exit.
+        for handle in self.workers.drain(..) {
             let _ = handle.join();
         }
     }
@@ -833,163 +832,69 @@ impl Drop for Engine {
 }
 
 // ---------------------------------------------------------------------------
-// Operator threads
+// Worker pool
 // ---------------------------------------------------------------------------
 
-fn operator_loop(
-    id: OperatorId,
-    node: crate::plan::OperatorNode,
-    receiver: Receiver<OperatorMessage>,
-    storage_ops: Arc<Vec<Option<StorageOperator>>>,
-    catalog: Arc<Catalog>,
-    budget: CoreBudget,
-) {
-    while let Ok(message) = receiver.recv() {
-        let task = match message {
-            OperatorMessage::Task(task) => task,
-            OperatorMessage::Shutdown => break,
-        };
-        // Gather the inputs of this batch first (waiting does not consume a
-        // core), then acquire a core permit for the actual processing. Each
-        // input is the producer's shared output, read in place.
-        let mut received: Vec<TaskData> = Vec::with_capacity(task.inputs.len());
-        let mut input_failed = false;
-        for rx in &task.inputs {
-            match rx.recv() {
-                Ok(data) => received.push(data),
-                Err(_) => {
-                    // The producer failed; the producer's error is reported
-                    // through its own done message and fails the batch at
-                    // the coordinator.
-                    input_failed = true;
-                }
-            }
-        }
-
-        let had_queries = !task.activations.is_empty();
-        let permit = budget.acquire();
+/// One pool worker: runs `(instance, operator)` jobs until the job channel
+/// disconnects. After a job it publishes the node's output, releases every
+/// active consumer whose last pending producer this was, and reports to the
+/// coordinator. A panicking operator fails its instance like an `Err` does,
+/// so the pool never loses a worker and a batch never waits for a job that
+/// will not finish.
+fn worker_loop(inner: Arc<EngineInner>, jobs: Receiver<Job>) {
+    while let Ok(Job { instance, node }) = jobs.recv() {
         let started = Instant::now();
-        let result: Result<Vec<QTuple>> = if input_failed {
+        let result = if instance.failed.load(Ordering::Acquire) {
             Ok(Vec::new())
-        } else if let Some(storage) = &storage_ops[id] {
-            storage.execute(&task.activations)
         } else {
-            let ctx = ExecContext {
-                catalog: &catalog,
-                snapshot: task.snapshot,
-            };
-            let inputs: Vec<&[QTuple]> = received.iter().map(|data| data.as_slice()).collect();
-            execute_operator(&node.spec, &task.activations, &inputs, &ctx)
+            panic::catch_unwind(AssertUnwindSafe(|| run_node(&inner, &instance, node)))
+                .unwrap_or_else(|_| Err(Error::Internal(format!("operator {node} panicked"))))
         };
         let busy = started.elapsed();
-        drop(permit);
-
-        match result {
+        let result = match result {
             Ok(tuples) => {
                 let count = tuples.len();
-                let data: TaskData = Arc::new(tuples);
-                for out in &task.outputs {
-                    let _ = out.send(Arc::clone(&data));
-                }
-                if let Some(collector) = &task.collector {
-                    let _ = collector.send((id, Arc::clone(&data)));
-                }
-                let _ = task.done.send(OperatorDone {
-                    id,
-                    result: Ok(count),
-                    busy,
-                    had_queries,
-                });
+                let _ = instance.outputs[node].set(tuples);
+                Ok(count)
             }
             Err(e) => {
-                // Emit empty outputs so downstream operators do not hang, then
-                // report the failure.
-                let data: TaskData = Arc::new(Vec::new());
-                for out in &task.outputs {
-                    let _ = out.send(Arc::clone(&data));
-                }
-                if let Some(collector) = &task.collector {
-                    let _ = collector.send((id, Arc::clone(&data)));
-                }
-                let _ = task.done.send(OperatorDone {
-                    id,
-                    result: Err(e),
-                    busy,
-                    had_queries,
+                instance.failed.store(true, Ordering::Release);
+                Err(e)
+            }
+        };
+        for &consumer in &inner.consumers[node] {
+            if instance.is_active(consumer)
+                && instance.pending[consumer].fetch_sub(1, Ordering::AcqRel) == 1
+            {
+                let _ = instance.jobs.send(Job {
+                    instance: Arc::clone(&instance),
+                    node: consumer,
                 });
             }
         }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Segment workers
-// ---------------------------------------------------------------------------
-
-/// One pool worker of the segment-parallel scan path: executes whole-plan
-/// segment jobs, one at a time, holding one core-budget permit per job. Plan
-/// node ids are assigned in topological order, so a single forward pass with
-/// materialised per-node outputs respects every producer/consumer edge.
-fn segment_worker_loop(
-    jobs: Receiver<SegmentJob>,
-    plan: GlobalPlan,
-    storage_ops: Arc<Vec<Option<StorageOperator>>>,
-    catalog: Arc<Catalog>,
-    budget: CoreBudget,
-) {
-    while let Ok(job) = jobs.recv() {
-        let permit = budget.acquire();
-        let started = Instant::now();
-        let mut outputs: Vec<Vec<QTuple>> = vec![Vec::new(); plan.len()];
-        let mut node_stats: Vec<Option<(usize, Duration)>> = vec![None; plan.len()];
-        let mut failure: Option<Error> = None;
-        for node in plan.nodes() {
-            let activations = &job.activations[node.id];
-            if activations.is_empty() {
-                continue;
-            }
-            let node_started = Instant::now();
-            let result = if let Some(storage) = &storage_ops[node.id] {
-                storage.execute(activations)
-            } else {
-                let inputs: Vec<&[QTuple]> =
-                    node.inputs.iter().map(|i| outputs[*i].as_slice()).collect();
-                let ctx = ExecContext {
-                    catalog: &catalog,
-                    snapshot: job.snapshot,
-                };
-                execute_operator(&node.spec, activations, &inputs, &ctx)
-            };
-            match result {
-                Ok(tuples) => {
-                    node_stats[node.id] = Some((tuples.len(), node_started.elapsed()));
-                    outputs[node.id] = tuples;
-                }
-                Err(e) => {
-                    failure = Some(e);
-                    break;
-                }
-            }
-        }
-        let busy = started.elapsed();
-        drop(permit);
-        let result = match failure {
-            Some(e) => Err(e),
-            None => Ok(job
-                .collect
-                .iter()
-                .enumerate()
-                .filter(|(_, wanted)| **wanted)
-                .map(|(id, _)| (id, std::mem::take(&mut outputs[id])))
-                .collect()),
-        };
-        let _ = job.done.send(SegmentDone {
-            segment: job.segment,
-            node_stats,
-            outputs: result,
+        let _ = instance.done.send(JobDone {
+            segment: instance.segment,
+            node,
+            result,
             busy,
         });
     }
+}
+
+/// Runs one operator of one instance over its producers' published outputs
+/// (read in place; an inactive producer contributes an empty input).
+fn run_node(inner: &EngineInner, instance: &Instance, id: OperatorId) -> Result<Vec<QTuple>> {
+    let activations = &instance.activations[id];
+    if let Some(storage) = &inner.storage_ops[id] {
+        return storage.execute(activations);
+    }
+    let node = inner.plan.node(id);
+    let inputs: Vec<&[QTuple]> = node.inputs.iter().map(|&i| instance.output(i)).collect();
+    let ctx = ExecContext {
+        catalog: &inner.catalog,
+        snapshot: instance.snapshot,
+    };
+    execute_operator(&node.spec, activations, &inputs, &ctx)
 }
 
 /// Rewrites one bound activation for one row segment: scans additionally
@@ -1152,7 +1057,7 @@ impl HeartbeatController {
     }
 }
 
-fn coordinator_loop(inner: Arc<EngineInner>) {
+fn coordinator_loop(inner: Arc<EngineInner>, jobs: Sender<Job>) {
     let mut batch_seq: u64 = 0;
     let adaptive = inner.config.heartbeat.is_adaptive();
     let mut heartbeat = inner.config.heartbeat.initial_interval();
@@ -1334,7 +1239,7 @@ fn coordinator_loop(inner: Arc<EngineInner>) {
                 Submission::Update(u) => batch.updates.push(u),
             }
         }
-        process_batch(&inner, &batch, heartbeat);
+        process_batch(&inner, &batch, heartbeat, &jobs);
         inner
             .stats
             .record_batch(batch.queries.len() + batch.updates.len());
@@ -1354,7 +1259,12 @@ fn coordinator_loop(inner: Arc<EngineInner>) {
     }
 }
 
-fn process_batch(inner: &Arc<EngineInner>, batch: &QueryBatch, heartbeat: Duration) {
+fn process_batch(
+    inner: &Arc<EngineInner>,
+    batch: &QueryBatch,
+    heartbeat: Duration,
+    jobs: &Sender<Job>,
+) {
     let batch_started = Instant::now();
     let heartbeat_us = heartbeat.as_micros() as u64;
     // The statement-type mix (computed only when tracing is on — it
@@ -1441,52 +1351,64 @@ fn process_batch(inner: &Arc<EngineInner>, batch: &QueryBatch, heartbeat: Durati
         return;
     }
 
-    // Phase 2: run the shared operators of the plan for this batch.
+    // Phase 2: run the batch's active operators on the worker pool.
     let snapshot = inner.catalog.oracle().read_ts();
     let plan = &inner.plan;
     let segments = inner.config.scan_segments as u32;
 
     // Lane split. Queries whose statement shape is partitionable run
-    // segment-parallel on the worker pool (segment lane); everything else —
-    // and everything, when segmenting is off — runs on the operator threads
-    // exactly as before (whole lane). Both lanes execute against this
-    // batch's single snapshot, so the split is invisible to MVCC, and
-    // updates were already applied in Phase 1, never segmented.
-    let mut whole_lane: Vec<&ActiveQuery> = Vec::new();
-    let mut seg_lane: Vec<&ActiveQuery> = Vec::new();
-    for q in &batch.queries {
-        if segments > 1 && q.segment_ok {
-            seg_lane.push(q);
-        } else {
-            whole_lane.push(q);
-        }
-    }
+    // segment-parallel (segment lane, one instance per row segment);
+    // everything else — and everything, when segmenting is off — runs in
+    // the whole lane's one instance. Every instance reads this batch's
+    // single snapshot, so the split is invisible to MVCC, and updates were
+    // already applied in Phase 1, never segmented.
+    let (seg_lane, whole_lane): (Vec<&ActiveQuery>, Vec<&ActiveQuery>) = batch
+        .queries
+        .iter()
+        .partition(|q| segments > 1 && q.segment_ok);
+    let roots = |lane: &[&ActiveQuery]| -> Vec<OperatorId> {
+        let mut roots: Vec<OperatorId> = lane.iter().map(|q| q.root).collect();
+        roots.sort_unstable();
+        roots.dedup();
+        roots
+    };
+    let whole_roots = roots(&whole_lane);
+    let seg_roots = roots(&seg_lane);
 
-    // Whole lane: per-operator activations and router subscriptions.
-    let mut collect: Vec<bool> = vec![false; plan.len()];
-    let mut node_activations: Vec<Vec<(QueryId, Activation)>> =
-        (0..plan.len()).map(|_| Vec::new()).collect();
-    for q in &whole_lane {
-        collect[q.root] = true;
-        for (op, activation) in &q.activations {
-            node_activations[*op].push((q.query_id, activation.clone()));
+    let (done_tx, done_rx) = unbounded::<JobDone>();
+    let mut instances: Vec<Arc<Instance>> = Vec::new();
+    let mut expected = 0usize;
+    let mut dispatch = |segment: Option<u32>, activations: Vec<Vec<(QueryId, Activation)>>| {
+        let (instance, ready) = Instance::new(
+            segment,
+            activations,
+            &inner.consumers,
+            snapshot,
+            jobs,
+            &done_tx,
+        );
+        expected += (0..plan.len()).filter(|&id| instance.is_active(id)).count();
+        for node in ready {
+            let _ = jobs.send(Job {
+                instance: Arc::clone(&instance),
+                node,
+            });
         }
+        instances.push(instance);
+    };
+    let empty = || -> Vec<Vec<(QueryId, Activation)>> { vec![Vec::new(); plan.len()] };
+    if !whole_lane.is_empty() {
+        let mut activations = empty();
+        for q in &whole_lane {
+            for (op, activation) in &q.activations {
+                activations[*op].push((q.query_id, activation.clone()));
+            }
+        }
+        dispatch(None, activations);
     }
-
-    // Segment lane: rewrite each eligible query's activations per row
-    // segment and dispatch one whole-plan job per segment to the pool.
-    let (segment_done_tx, segment_done_rx) = unbounded::<SegmentDone>();
-    let mut seg_error: Option<Error> = None;
-    let mut dispatched_segments: u32 = 0;
     if !seg_lane.is_empty() {
-        let mut seg_collect: Vec<bool> = vec![false; plan.len()];
-        for q in &seg_lane {
-            seg_collect[q.root] = true;
-        }
-        let jobs = inner.segment_jobs.lock();
         for s in 0..segments {
-            let mut activations: Vec<Vec<(QueryId, Activation)>> =
-                (0..plan.len()).map(|_| Vec::new()).collect();
+            let mut activations = empty();
             for q in &seg_lane {
                 let spec = inner.scatter_specs[q.statement_index]
                     .as_ref()
@@ -1498,145 +1420,47 @@ fn process_batch(inner: &Arc<EngineInner>, batch: &QueryBatch, heartbeat: Durati
                     ));
                 }
             }
-            let job = SegmentJob {
-                segment: s,
-                activations,
-                collect: seg_collect.clone(),
-                snapshot,
-                done: segment_done_tx.clone(),
-            };
-            match jobs.as_ref() {
-                Some(tx) if tx.send(job).is_ok() => dispatched_segments += 1,
-                _ => {
-                    seg_error = Some(Error::EngineShutdown);
-                    break;
-                }
-            }
+            dispatch(Some(s), activations);
         }
     }
-    drop(segment_done_tx);
 
-    // Build the per-batch data channels along plan edges (whole lane).
-    let mut input_receivers: Vec<Vec<Receiver<TaskData>>> =
-        (0..plan.len()).map(|_| Vec::new()).collect();
-    let mut output_senders: Vec<Vec<Sender<TaskData>>> =
-        (0..plan.len()).map(|_| Vec::new()).collect();
-    for node in plan.nodes() {
-        for &input in &node.inputs {
-            let (tx, rx) = unbounded::<TaskData>();
-            output_senders[input].push(tx);
-            input_receivers[node.id].push(rx);
-        }
-    }
-    let (collector_tx, collector_rx) = unbounded::<(OperatorId, TaskData)>();
-    let (done_tx, done_rx) = unbounded::<OperatorDone>();
-
-    let expected_collects = collect.iter().filter(|&&c| c).count();
-
-    // Dispatch one task per operator (always-on plan: every operator runs
-    // every cycle, possibly with zero active queries).
-    let mut receivers_iter: Vec<Vec<Receiver<TaskData>>> = input_receivers;
-    let mut senders_iter: Vec<Vec<Sender<TaskData>>> = output_senders;
-    let mut activations_iter = node_activations;
-    for node in plan.nodes() {
-        let task = OperatorTask {
-            activations: std::mem::take(&mut activations_iter[node.id]),
-            inputs: std::mem::take(&mut receivers_iter[node.id]),
-            outputs: std::mem::take(&mut senders_iter[node.id]),
-            collector: if collect[node.id] {
-                Some(collector_tx.clone())
-            } else {
-                None
-            },
-            done: done_tx.clone(),
-            snapshot,
-        };
-        let _ = inner.operator_senders[node.id].send(OperatorMessage::Task(Box::new(task)));
-    }
-    drop(collector_tx);
-    drop(done_tx);
-
-    // Gather per-operator completion. Per-operator counters are recorded
-    // exactly ONCE per operator per batch, folding both lanes: tuples are
-    // SUMMED (the lanes' row sets are disjoint), busy is the MAXIMUM across
-    // lanes. The lanes run concurrently, so the max approximates the
-    // wall-clock busy union; summing would let N parallel segments multiply
-    // the reported busy-fraction and deflate tuples-per-active-cycle.
-    let mut batch_error: Option<Error> = None;
-    let mut active_operators = 0usize;
+    // Gather one completion per active (instance, operator). Per-operator
+    // counters are recorded exactly ONCE per operator per batch, folding the
+    // instances: tuples are SUMMED (their row sets are disjoint), busy is
+    // the MAXIMUM across instances. Instances run concurrently, so the max
+    // approximates the wall-clock busy union; summing would let N parallel
+    // segments multiply the reported busy fraction and deflate
+    // tuples-per-active-cycle. A failure fails only its own lane: the whole
+    // lane's error leaves the segment lane's queries alone, and vice versa.
+    let mut whole_error: Option<Error> = None;
+    let mut seg_error: Option<Error> = None;
     let mut total_busy = Duration::ZERO;
     let mut op_tuples: Vec<usize> = vec![0; plan.len()];
     let mut op_busy: Vec<Duration> = vec![Duration::ZERO; plan.len()];
     let mut op_active: Vec<bool> = vec![false; plan.len()];
-    for _ in 0..plan.len() {
-        match done_rx.recv() {
-            Ok(done) => {
-                let tuples = match &done.result {
-                    Ok(n) => *n,
-                    Err(e) => {
-                        if batch_error.is_none() {
-                            batch_error = Some(e.clone());
-                        }
-                        0
-                    }
+    let mut seg_busy: Vec<Duration> = vec![Duration::ZERO; segments as usize];
+    for _ in 0..expected {
+        // Every dispatched instance holds a completion sender, and every job
+        // reports (workers catch operator panics), so this cannot disconnect.
+        let Ok(done) = done_rx.recv() else { break };
+        let tuples = match done.result {
+            Ok(n) => n,
+            Err(e) => {
+                let lane_error = if done.segment.is_some() {
+                    &mut seg_error
+                } else {
+                    &mut whole_error
                 };
-                op_tuples[done.id] += tuples;
-                op_busy[done.id] = op_busy[done.id].max(done.busy);
-                op_active[done.id] |= done.had_queries;
-                total_busy += done.busy;
-                if done.had_queries {
-                    active_operators += 1;
-                    inner.trace.push(TraceEvent::OperatorFired {
-                        batch: batch.id.0,
-                        operator: done.id,
-                        tuples,
-                        busy_us: done.busy.as_micros() as u64,
-                    });
-                }
+                lane_error.get_or_insert(e);
+                0
             }
-            Err(_) => {
-                batch_error = Some(Error::Internal("operator thread disappeared".into()));
-                break;
-            }
-        }
-    }
-
-    // Merge barrier of the segment lane: gather every dispatched segment
-    // job. A failed segment fails only the segment lane's queries; the
-    // whole lane is unaffected (and vice versa).
-    let mut segment_outputs: Vec<Option<HashMap<OperatorId, Vec<QTuple>>>> =
-        (0..segments).map(|_| None).collect();
-    for _ in 0..dispatched_segments {
-        match segment_done_rx.recv() {
-            Ok(done) => {
-                total_busy += done.busy;
-                for (id, stats) in done.node_stats.iter().enumerate() {
-                    if let Some((tuples, busy)) = stats {
-                        op_tuples[id] += tuples;
-                        op_busy[id] = op_busy[id].max(*busy);
-                        op_active[id] = true;
-                    }
-                }
-                match done.outputs {
-                    Ok(outputs) => {
-                        let rows = outputs.values().map(|o| o.len()).sum();
-                        inner.segment_stats[done.segment as usize].record(rows, done.busy);
-                        segment_outputs[done.segment as usize] = Some(outputs);
-                    }
-                    Err(e) => {
-                        inner.segment_stats[done.segment as usize].record(0, done.busy);
-                        if seg_error.is_none() {
-                            seg_error = Some(e);
-                        }
-                    }
-                }
-            }
-            Err(_) => {
-                if seg_error.is_none() {
-                    seg_error = Some(Error::Internal("segment worker disappeared".into()));
-                }
-                break;
-            }
+        };
+        op_tuples[done.node] += tuples;
+        op_busy[done.node] = op_busy[done.node].max(done.busy);
+        op_active[done.node] = true;
+        total_busy += done.busy;
+        if let Some(s) = done.segment {
+            seg_busy[s as usize] += done.busy;
         }
     }
 
@@ -1668,60 +1492,41 @@ fn process_batch(inner: &Arc<EngineInner>, batch: &QueryBatch, heartbeat: Durati
             op_busy[node.id],
         );
     }
+    let mut fired = 0usize;
+    for node in plan.nodes().iter().filter(|n| op_active[n.id]) {
+        fired += 1;
+        inner.trace.push(TraceEvent::OperatorFired {
+            batch: batch.id.0,
+            operator: node.id,
+            tuples: op_tuples[node.id],
+            busy_us: op_busy[node.id].as_micros() as u64,
+        });
+    }
     inner.trace.push(TraceEvent::OperatorsFired {
         batch: batch.id.0,
-        fired: plan.len(),
-        active: active_operators,
+        fired,
         total_busy_us: total_busy.as_micros() as u64,
     });
 
-    // Gather the whole lane's root outputs.
-    let mut root_outputs: HashMap<OperatorId, TaskData> = HashMap::new();
-    for _ in 0..expected_collects {
-        match collector_rx.recv() {
-            Ok((id, data)) => {
-                root_outputs.insert(id, data);
-            }
-            Err(_) => break,
-        }
-    }
-
-    // Phase 3: route results back to the clients (Γ by query_id). The root
-    // outputs are exploded into per-query row lists in ONE pass per root
-    // operator, so routing cost is O(results), not O(results × queries).
+    // Phase 3: route results back to the clients (Γ by query_id), once per
+    // instance. Each segment's partial rows then recombine through the
+    // query's merge spec before finalisation.
     let mut routed: RoutingTable = HashMap::new();
-    if batch_error.is_none() {
-        for (root, output) in root_outputs.iter() {
-            let per_query = routed.entry(*root).or_default();
-            for tuple in output.iter() {
-                for query_id in tuple.queries.iter() {
-                    per_query
-                        .entry(query_id)
-                        .or_default()
-                        .push(tuple.tuple.clone());
-                }
-            }
-        }
-    }
-    // Segment lane: the same Γ step, once per segment; each query's
-    // per-segment partial rows then recombine through its statement's merge
-    // spec before finalisation.
     let mut seg_routed: Vec<RoutingTable> = (0..segments).map(|_| HashMap::new()).collect();
-    if seg_error.is_none() {
-        for (s, outputs) in segment_outputs.iter().enumerate() {
-            let Some(outputs) = outputs else { continue };
-            for (root, output) in outputs {
-                let per_query = seg_routed[s].entry(*root).or_default();
-                for tuple in output {
-                    for query_id in tuple.queries.iter() {
-                        per_query
-                            .entry(query_id)
-                            .or_default()
-                            .push(tuple.tuple.clone());
-                    }
-                }
+    for instance in &instances {
+        let Some(s) = instance.segment.map(|s| s as usize) else {
+            if whole_error.is_none() {
+                routed = route(instance, &whole_roots);
             }
-        }
+            continue;
+        };
+        let rows = if seg_error.is_some() {
+            0
+        } else {
+            seg_routed[s] = route(instance, &seg_roots);
+            seg_roots.iter().map(|&r| instance.output(r).len()).sum()
+        };
+        inner.segment_stats[s].record(rows, seg_busy[s]);
     }
     for q in &batch.queries {
         let segmented = segments > 1 && q.segment_ok;
@@ -1732,7 +1537,7 @@ fn process_batch(inner: &Arc<EngineInner>, batch: &QueryBatch, heartbeat: Durati
             segments: if segmented { segments } else { 1 },
             heartbeat_us,
         });
-        let lane_error = if segmented { &seg_error } else { &batch_error };
+        let lane_error = if segmented { &seg_error } else { &whole_error };
         if let Some(error) = lane_error {
             inner.trace.push(TraceEvent::QueryRouted {
                 batch: batch.id.0,
@@ -1742,7 +1547,6 @@ fn process_batch(inner: &Arc<EngineInner>, batch: &QueryBatch, heartbeat: Durati
                 ok: false,
             });
             complete(inner, q.ticket, Err(error.clone()), ctx);
-            inner.stats.record_failure();
             continue;
         }
         let outcome = if segmented {
@@ -1764,6 +1568,25 @@ fn process_batch(inner: &Arc<EngineInner>, batch: &QueryBatch, heartbeat: Durati
         });
         complete(inner, q.ticket, outcome, ctx);
     }
+}
+
+/// The Γ step of one instance: its root outputs exploded into per-query row
+/// lists in ONE pass per root operator, so routing cost is O(results), not
+/// O(results × queries).
+fn route(instance: &Instance, roots: &[OperatorId]) -> RoutingTable {
+    let mut routed: RoutingTable = HashMap::new();
+    for &root in roots {
+        let per_query = routed.entry(root).or_default();
+        for tuple in instance.output(root) {
+            for query_id in tuple.queries.iter() {
+                per_query
+                    .entry(query_id)
+                    .or_default()
+                    .push(tuple.tuple.clone());
+            }
+        }
+    }
+    routed
 }
 
 /// Recombines one segment-lane query's per-segment partial rows into the
@@ -2449,6 +2272,88 @@ mod tests {
         // One logical execution per call: per-segment partial rows must not
         // inflate the delivered result-row count.
         assert_eq!(engine.stats().result_rows, 10);
+    }
+
+    /// An operator that fails mid-DAG (a LIKE over an Int parameter in the
+    /// USERS scan that feeds the join → sort) fails only the queries of its
+    /// own lane. The batch completes, its update commits, and the next batch
+    /// succeeds. Covered in the whole lane (`scan_segments = 1`) and in the
+    /// segment instances (`scan_segments = 2`), where the point probe rides
+    /// the whole lane of the same batch and must still succeed.
+    #[test]
+    fn operator_error_fails_only_its_lane() {
+        for segments in [1usize, 2] {
+            let fixture = build_engine(EngineConfig::default());
+            let mut registry = registry_like(&fixture);
+            let mut like = fixture.registry().get("ordersOfUser").unwrap().1.clone();
+            like.name = "ordersOfUserLike".into();
+            like.activations[0].1 = ActivationTemplate::Scan {
+                predicate: Expr::col(1).like(Expr::param(0)),
+            };
+            registry.register(like).unwrap();
+            let engine = Engine::start(
+                fixture.catalog(),
+                fixture.plan().clone(),
+                registry,
+                EngineConfig {
+                    heartbeat: HeartbeatPolicy::Fixed(Duration::from_millis(50)),
+                    eager_heartbeat: false,
+                    scan_segments: segments,
+                    ..EngineConfig::default()
+                },
+            )
+            .unwrap();
+            // The first batch runs at once; pacing holds the next one for
+            // 50ms, so the four statements below share one batch.
+            engine.execute_sync("userById", &[Value::Int(0)]).unwrap();
+            let failing = engine
+                .execute("ordersOfUserLike", &[Value::Int(7)])
+                .unwrap();
+            let join = engine
+                .execute("ordersOfUser", &[Value::text("user7")])
+                .unwrap();
+            let probe = engine.execute("userById", &[Value::Int(33)]).unwrap();
+            let insert = engine
+                .execute(
+                    "addOrder",
+                    &[Value::Int(10_000), Value::Int(7), Value::Float(1.0)],
+                )
+                .unwrap();
+            let type_error = |r: Result<QueryOutcome>| matches!(r, Err(Error::TypeMismatch { .. }));
+            assert!(type_error(failing.wait()), "segments={segments}");
+            // The good join shares the failing query's lane either way.
+            assert!(type_error(join.wait()), "segments={segments}");
+            let probe = probe.wait();
+            if segments == 1 {
+                assert!(type_error(probe), "the probe shares the whole lane");
+            } else {
+                assert_eq!(probe.unwrap().rows().len(), 1);
+            }
+            assert_eq!(insert.wait().unwrap().rows_affected(), 1);
+            let shared_batch = engine.trace().iter().any(|r| {
+                matches!(
+                    r.event,
+                    TraceEvent::BatchFormed {
+                        queries: 3,
+                        updates: 1,
+                        ..
+                    }
+                )
+            });
+            assert!(shared_batch, "segments={segments}");
+            assert_eq!(engine.stats().failed, if segments == 1 { 3 } else { 2 });
+            // The next batch runs the same statement cleanly and sees the
+            // committed insert.
+            let rows = engine
+                .execute_sync("ordersOfUserLike", &[Value::text("user7")])
+                .unwrap();
+            assert!(rows.rows().iter().any(|r| r[4] == Value::Int(10_000)));
+            if segments > 1 {
+                for s in engine.segment_stats() {
+                    assert_eq!(s.batches, 2, "segment {} ran both batches", s.segment);
+                }
+            }
+        }
     }
 
     /// Updates stay unsegmented and group-committed: a delete submitted

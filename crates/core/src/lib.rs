@@ -13,9 +13,13 @@
 //!
 //! Queries and updates are **batched**: while one batch is processed, newly
 //! arriving queries queue up; when the batch finishes, the queues are drained
-//! to form the next batch ("heartbeat", Section 3.2). Every operator of the
-//! plan runs on its own thread ([`engine::Engine`]) and processes one batch
-//! per cycle, following the operator skeleton of Algorithm 1.
+//! to form the next batch ("heartbeat", Section 3.2). The plan is logically
+//! always-on: every operator takes part in every cycle and records it, and
+//! processes the batch following the operator skeleton of Algorithm 1. Only
+//! the operators a batch activates do work: each runs as a job on the
+//! engine's one worker pool ([`engine::Engine`]) once its active inputs are
+//! ready, so independent operators, and the row segments of a segmented
+//! scan, run concurrently on up to `core_budget` cores.
 //!
 //! Shared operators implement the NF² data-query model: tuples carry the set
 //! of interested queries, joins amend their predicate with the query-set
@@ -24,11 +28,12 @@
 //!
 //! ## Module map
 //!
-//! * [`plan`] — operator specs, plan builder, statement registry, deployment.
+//! * [`plan`] — operator specs, plan builder, statement registry.
 //! * [`operators`] — the shared relational operators (pure batch functions).
 //! * [`storage_ops`] — scan / index-probe operators backed by `shareddb-storage`.
 //! * [`batch`] — activations, active queries, batch assembly.
-//! * [`engine`] — the multi-threaded batching runtime and client sessions.
+//! * [`engine`] — the batching runtime (coordinator plus worker pool) and
+//!   client sessions.
 //! * [`scatter`] — the partitionability walker: which statement shapes can run
 //!   over disjoint row partitions (cluster fanout and intra-engine segments).
 //! * [`merge`] — recombination of partitioned partial results (`MergeSpec`).
@@ -37,11 +42,9 @@
 //! * [`stats`] — per-operator and engine-level metrics, phase histograms,
 //!   per-statement-type cost attribution.
 //! * [`trace`] — the bounded batch-lifecycle trace journal.
-//! * [`budget`] — the core budget used to emulate "number of CPU cores".
 //! * [`config`] — engine configuration.
 
 pub mod batch;
-pub mod budget;
 pub mod config;
 pub mod engine;
 pub mod explain;

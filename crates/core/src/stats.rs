@@ -112,10 +112,10 @@ pub struct SegmentStatsSnapshot {
     pub batches: u64,
     /// Result rows this segment contributed (pre-merge partial rows).
     pub rows: u64,
-    /// Total busy time of this segment's pool jobs.
+    /// Total busy time of this segment's operator jobs.
     pub busy: Duration,
-    /// Per-batch execute-time histogram of this segment's pool jobs; the
-    /// spread across segments is the skew the merge barrier waits on.
+    /// Per-batch histogram of this segment's summed operator-job busy time;
+    /// the spread across segments is the skew the merge barrier waits on.
     pub execute: HistogramSnapshot,
 }
 
@@ -133,7 +133,7 @@ impl SegmentStatsSnapshot {
 }
 
 /// Mutable counters of one segment lane (owned by the engine, updated by the
-/// coordinator as segment jobs complete).
+/// coordinator once per batch the segment ran in).
 #[derive(Debug, Default)]
 pub struct SegmentStats {
     batches: AtomicU64,
@@ -143,7 +143,8 @@ pub struct SegmentStats {
 }
 
 impl SegmentStats {
-    /// Records one completed segment job.
+    /// Records one batch of this segment: the rows it contributed and the
+    /// summed busy time of its operator jobs.
     pub fn record(&self, rows: usize, busy: Duration) {
         self.batches.fetch_add(1, Ordering::Relaxed);
         self.rows.fetch_add(rows as u64, Ordering::Relaxed);
@@ -177,11 +178,12 @@ impl SegmentStats {
 // ---------------------------------------------------------------------------
 
 /// The reserved attribution column for operator cycles in which no registered
-/// statement type had an activation (e.g. a shared scan revolving for a batch
-/// whose queries all target other operators). Keeping this residual explicit
-/// is what makes the attribution *exact*: for every operator, the attributed
-/// busy times across all columns — including `_idle` — sum to the operator's
-/// total busy time in [`OperatorStats`].
+/// statement type had an activation. The engine runs no operator without an
+/// activation (an idle cycle is recorded with zero busy and zero rows), so
+/// this column reads 0; it is kept so that the attribution stays *exact* for
+/// any caller of [`AttributionTable::record_cycle`]: for every operator, the
+/// attributed busy times across all columns — including `_idle` — sum to the
+/// operator's total busy time in [`OperatorStats`].
 pub const IDLE_STATEMENT: &str = "_idle";
 
 /// One cell of the attribution matrix (lock-free, updated by the coordinator

@@ -83,8 +83,8 @@ impl StorageOperator {
                     })
                     .collect::<Result<_>>()?;
                 // Fast path: when every activation of the call reads the same
-                // segment with the same hash columns (the per-segment jobs of
-                // the engine's segment pool always do), the restriction
+                // segment with the same hash columns (the jobs of the
+                // engine's segment instances always do), the restriction
                 // becomes a segment-view cursor — rows outside the segment
                 // are skipped before the predicate index evaluates them.
                 let view = uniform_view(&segmented, activations.len(), key_columns);

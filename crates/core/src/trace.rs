@@ -37,18 +37,21 @@ pub enum TraceEvent {
         /// a controller decision.
         heartbeat_us: u64,
     },
-    /// All operators of one cycle completed (one event per batch).
+    /// Every operator job of one cycle completed (one event per batch).
     OperatorsFired {
         /// Batch sequence number.
         batch: u64,
-        /// Operators that ran the cycle (always the full plan).
+        /// Operators that actually ran this cycle: those with an activation
+        /// in at least one lane. The rest of the plan stays idle and runs no
+        /// job.
         fired: usize,
-        /// Operators that had at least one active query this cycle.
-        active: usize,
-        /// Sum of per-operator busy time this cycle, µs.
+        /// Sum of the busy time of every operator job this cycle, µs
+        /// (segment jobs of one operator add up).
         total_busy_us: u64,
     },
-    /// One operator's share of a cycle (recorded for active operators only).
+    /// One operator's share of a cycle (recorded for the operators that
+    /// ran): tuples summed and busy maximised over its lanes, as in the
+    /// per-operator counters.
     OperatorFired {
         /// Batch sequence number.
         batch: u64,
@@ -172,11 +175,10 @@ impl std::fmt::Display for TraceEvent {
             TraceEvent::OperatorsFired {
                 batch,
                 fired,
-                active,
                 total_busy_us,
             } => write!(
                 f,
-                "batch {batch} operators fired: {fired} total, {active} active, {total_busy_us}us busy"
+                "batch {batch} operators fired: {fired}, {total_busy_us}us busy"
             ),
             TraceEvent::OperatorFired {
                 batch,

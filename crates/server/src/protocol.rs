@@ -194,7 +194,8 @@ pub struct WireStats {
 /// One statement type's share of an operator's work (v4): how much of the
 /// operator's busy time, and how many of its output rows, were attributed to
 /// this statement type by the batch activation mix. The statement name
-/// `"_idle"` covers cycles the operator ran without an activation of its own.
+/// `"_idle"` covers work in cycles without an activation of the operator;
+/// the engine runs no operator in such a cycle, so `_idle` reads 0.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct WireAttributedCost {
     /// Statement type name (or `"_idle"`).

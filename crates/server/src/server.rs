@@ -385,8 +385,8 @@ impl Shared {
 
         // Per-operator × per-statement-type cost attribution: each
         // operator's busy time split by the activation mix of its batches
-        // (`stmt_type="_idle"` covers cycles with no activation of that
-        // operator).
+        // (`stmt_type="_idle"` would cover work in cycles with no activation
+        // of that operator; the engine runs no such work, so it stays 0).
         let _ = writeln!(w, "# TYPE shareddb_attributed_busy_us counter");
         let _ = writeln!(w, "# TYPE shareddb_attributed_rows counter");
         for (i, entries) in backend.replica_attribution_stats().iter().enumerate() {

@@ -19,8 +19,6 @@ use std::ops::{Bound, ControlFlow};
 
 /// Maximum number of keys per node. 2*B children for internal nodes.
 const MAX_KEYS: usize = 32;
-/// Minimum number of keys per node after deletion rebalancing.
-const MIN_KEYS: usize = MAX_KEYS / 2;
 
 /// A B+-tree index from key values to posting lists of row ids.
 pub struct BTreeIndex {
@@ -114,24 +112,6 @@ impl BTreeIndex {
         }
     }
 
-    /// Removes a `(key, row)` pair. Returns `true` when the pair was present.
-    ///
-    /// Removal uses lazy deletion for simplicity and predictable latency: the
-    /// row id is removed from the posting list and empty posting lists are
-    /// dropped from their leaf, but underfull leaves are only merged when a
-    /// later insert splits through them. This keeps removals O(log n) without
-    /// the full rebalancing machinery; the tree never returns wrong results.
-    pub fn remove(&mut self, key: &Value, row: RowId) -> bool {
-        let (removed, removed_key) = self.root.remove(key, row);
-        if removed {
-            self.entries -= 1;
-        }
-        if removed_key {
-            self.len -= 1;
-        }
-        removed
-    }
-
     /// Returns the posting list for an exact key (empty slice when absent).
     pub fn get(&self, key: &Value) -> &[RowId] {
         self.root.get(key).unwrap_or(&[])
@@ -160,19 +140,6 @@ impl BTreeIndex {
         self.root.visit_range(&low, &high, f)
     }
 
-    /// Returns all row ids with keys in the given range.
-    pub fn range_rows(&self, low: Bound<&Value>, high: Bound<&Value>) -> Vec<RowId> {
-        self.range(low, high).into_iter().map(|(_, r)| r).collect()
-    }
-
-    /// Iterates over every `(key, posting list)` pair in key order. Intended
-    /// for tests and for rebuilding indexes after recovery.
-    pub fn iter_all(&self) -> Vec<(Value, Vec<RowId>)> {
-        let mut out = Vec::new();
-        self.root.collect_all(&mut out);
-        out
-    }
-
     /// Depth of the tree (1 for a single leaf). Exposed for tests that verify
     /// the tree actually splits.
     pub fn depth(&self) -> usize {
@@ -182,7 +149,7 @@ impl BTreeIndex {
     /// Verifies structural invariants (key ordering, separator correctness,
     /// fanout bounds). Used by tests and property-based checks.
     pub fn check_invariants(&self) -> Result<(), String> {
-        self.root.check(None, None, true)?;
+        self.root.check(None, None)?;
         Ok(())
     }
 }
@@ -248,35 +215,6 @@ impl Node {
         }
     }
 
-    /// Returns (removed_entry, removed_whole_key).
-    fn remove(&mut self, key: &Value, row: RowId) -> (bool, bool) {
-        match self {
-            Node::Leaf(leaf) => match leaf.keys.binary_search(key) {
-                Ok(i) => {
-                    let posting = &mut leaf.postings[i];
-                    match posting.iter().position(|r| *r == row) {
-                        Some(p) => {
-                            posting.swap_remove(p);
-                            if posting.is_empty() {
-                                leaf.keys.remove(i);
-                                leaf.postings.remove(i);
-                                (true, true)
-                            } else {
-                                (true, false)
-                            }
-                        }
-                        None => (false, false),
-                    }
-                }
-                Err(_) => (false, false),
-            },
-            Node::Internal(node) => {
-                let idx = node.child_index(key);
-                node.children[idx].remove(key, row)
-            }
-        }
-    }
-
     fn visit_range(
         &self,
         low: &Bound<&Value>,
@@ -318,27 +256,7 @@ impl Node {
         ControlFlow::Continue(())
     }
 
-    fn collect_all(&self, out: &mut Vec<(Value, Vec<RowId>)>) {
-        match self {
-            Node::Leaf(leaf) => {
-                for (k, p) in leaf.keys.iter().zip(&leaf.postings) {
-                    out.push((k.clone(), p.clone()));
-                }
-            }
-            Node::Internal(node) => {
-                for child in &node.children {
-                    child.collect_all(out);
-                }
-            }
-        }
-    }
-
-    fn check(
-        &self,
-        lower: Option<&Value>,
-        upper: Option<&Value>,
-        is_root: bool,
-    ) -> Result<(), String> {
+    fn check(&self, lower: Option<&Value>, upper: Option<&Value>) -> Result<(), String> {
         match self {
             Node::Leaf(leaf) => {
                 if leaf.keys.len() != leaf.postings.len() {
@@ -370,10 +288,6 @@ impl Node {
                 if node.children.len() != node.keys.len() + 1 {
                     return Err("internal fanout mismatch".into());
                 }
-                if !is_root && node.keys.len() < MIN_KEYS / 2 {
-                    // Lazy deletion means we only guarantee a loose lower
-                    // bound; the important invariants are ordering ones.
-                }
                 for w in node.keys.windows(2) {
                     if w[0] >= w[1] {
                         return Err("internal keys out of order".into());
@@ -390,7 +304,7 @@ impl Node {
                     } else {
                         Some(&node.keys[i])
                     };
-                    child.check(lo, hi, false)?;
+                    child.check(lo, hi)?;
                 }
                 Ok(())
             }
@@ -518,15 +432,21 @@ mod tests {
         for i in 0..1000i64 {
             idx.insert(Value::Int(i), row(i as u64));
         }
-        let rows = idx.range_rows(
+        let rows = |low, high| -> Vec<RowId> {
+            idx.range(low, high).into_iter().map(|(_, r)| r).collect()
+        };
+        let rows_10_15 = rows(
             Bound::Included(&Value::Int(10)),
             Bound::Excluded(&Value::Int(15)),
         );
-        assert_eq!(rows, vec![row(10), row(11), row(12), row(13), row(14)]);
-        let rows = idx.range_rows(Bound::Excluded(&Value::Int(995)), Bound::Unbounded);
-        assert_eq!(rows, vec![row(996), row(997), row(998), row(999)]);
-        let rows = idx.range_rows(Bound::Unbounded, Bound::Included(&Value::Int(2)));
-        assert_eq!(rows, vec![row(0), row(1), row(2)]);
+        assert_eq!(
+            rows_10_15,
+            vec![row(10), row(11), row(12), row(13), row(14)]
+        );
+        let rows_tail = rows(Bound::Excluded(&Value::Int(995)), Bound::Unbounded);
+        assert_eq!(rows_tail, vec![row(996), row(997), row(998), row(999)]);
+        let rows_head = rows(Bound::Unbounded, Bound::Included(&Value::Int(2)));
+        assert_eq!(rows_head, vec![row(0), row(1), row(2)]);
         // Range results are in key order.
         let all = idx.range(Bound::Unbounded, Bound::Unbounded);
         assert_eq!(all.len(), 1000);
@@ -542,45 +462,17 @@ mod tests {
         {
             idx.insert(Value::text(*name), row(i as u64));
         }
-        let rows = idx.range_rows(
+        let rows = idx.range(
             Bound::Included(&Value::text("B")),
             Bound::Excluded(&Value::text("D")),
         );
-        assert_eq!(rows, vec![row(1), row(2)]);
-    }
-
-    #[test]
-    fn remove_entries_and_keys() {
-        let mut idx = BTreeIndex::new();
-        idx.insert(Value::Int(1), row(10));
-        idx.insert(Value::Int(1), row(11));
-        idx.insert(Value::Int(2), row(20));
-        assert!(idx.remove(&Value::Int(1), row(10)));
-        assert!(!idx.remove(&Value::Int(1), row(10)));
-        assert_eq!(idx.get(&Value::Int(1)), &[row(11)]);
-        assert!(idx.remove(&Value::Int(1), row(11)));
-        assert!(idx.get(&Value::Int(1)).is_empty());
-        assert_eq!(idx.key_count(), 1);
-        assert_eq!(idx.entry_count(), 1);
-        assert!(!idx.remove(&Value::Int(42), row(1)));
-        idx.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn remove_across_splits() {
-        let mut idx = BTreeIndex::new();
-        for i in 0..2000i64 {
-            idx.insert(Value::Int(i), row(i as u64));
-        }
-        for i in (0..2000i64).step_by(2) {
-            assert!(idx.remove(&Value::Int(i), row(i as u64)));
-        }
-        idx.check_invariants().unwrap();
-        assert_eq!(idx.entry_count(), 1000);
-        for i in 0..2000i64 {
-            let present = !idx.get(&Value::Int(i)).is_empty();
-            assert_eq!(present, i % 2 == 1, "key {i}");
-        }
+        assert_eq!(
+            rows,
+            vec![
+                (Value::text("BAKER"), row(1)),
+                (Value::text("CLARK"), row(2))
+            ]
+        );
     }
 
     #[test]
@@ -590,20 +482,21 @@ mod tests {
         idx.insert(Value::text("a"), row(2));
         idx.insert(Value::Null, row(3));
         idx.check_invariants().unwrap();
-        let all = idx.iter_all();
+        let all = idx.range(Bound::Unbounded, Bound::Unbounded);
         assert_eq!(all.len(), 3);
         // NULL sorts first in the total order.
         assert_eq!(all[0].0, Value::Null);
     }
 
     #[test]
-    fn iter_all_matches_inserted_content() {
+    fn duplicate_keys_share_one_posting_list() {
         let mut idx = BTreeIndex::new();
         for i in 0..500i64 {
             idx.insert(Value::Int(i % 50), row(i as u64));
         }
-        let all = idx.iter_all();
-        assert_eq!(all.len(), 50);
-        assert_eq!(all.iter().map(|(_, p)| p.len()).sum::<usize>(), 500);
+        assert_eq!(idx.key_count(), 50);
+        assert_eq!(idx.entry_count(), 500);
+        assert_eq!(idx.range(Bound::Unbounded, Bound::Unbounded).len(), 500);
+        assert_eq!(idx.get(&Value::Int(7)).len(), 10);
     }
 }

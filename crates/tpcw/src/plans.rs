@@ -652,7 +652,7 @@ mod tests {
     use crate::schema::{build_catalog, TpcwScale, SUBJECTS};
     use shareddb_baseline::EngineProfile;
     use shareddb_common::Value;
-    use shareddb_core::{Engine, EngineConfig};
+    use shareddb_core::{Engine, EngineConfig, TraceEvent, IDLE_STATEMENT};
     use std::sync::Arc;
 
     fn setup() -> (Arc<Catalog>, Engine, ClassicEngine) {
@@ -682,6 +682,51 @@ mod tests {
         assert!(census.keys().any(|k| k.starts_with("HashJoin")));
         assert!(census.keys().any(|k| k.starts_with("GroupBy")));
         assert!(census.keys().any(|k| k.starts_with("TopN")));
+    }
+
+    /// Sparse dispatch: an isolated point look-up runs exactly the operators
+    /// it activates, not the whole plan, so no operator runs idle.
+    #[test]
+    fn isolated_lookup_fires_only_its_operators() {
+        let (_, engine, _) = setup();
+        let mut activated: Vec<usize> = engine
+            .registry()
+            .get("getItemById")
+            .unwrap()
+            .1
+            .activations
+            .iter()
+            .map(|(op, _)| *op)
+            .collect();
+        activated.sort_unstable();
+        activated.dedup();
+        assert!(activated.len() < engine.plan().len());
+        engine
+            .execute_sync("getItemById", &[Value::Int(5)])
+            .unwrap();
+        let trace = engine.trace();
+        let ran: Vec<usize> = trace
+            .iter()
+            .filter_map(|r| match r.event {
+                TraceEvent::OperatorFired { operator, .. } => Some(operator),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(ran, activated);
+        let fired = trace
+            .iter()
+            .find_map(|r| match r.event {
+                TraceEvent::OperatorsFired { fired, .. } => Some(fired),
+                _ => None,
+            })
+            .unwrap();
+        assert_eq!(fired, activated.len());
+        let idle: Vec<_> = engine
+            .attribution_stats()
+            .into_iter()
+            .filter(|e| e.statement == IDLE_STATEMENT)
+            .collect();
+        assert!(idle.is_empty(), "idle cycles were attributed: {idle:?}");
     }
 
     #[test]
